@@ -49,8 +49,10 @@ let timed f =
   let x = f () in
   (x, now () -. t0)
 
-(* Set-ups per run; [setup_s] is their median. *)
-let setup_reps = 3
+(* Set-ups per run; [setup_s] is their median.  The first set-up of a
+   process is often the slowest (heap growth, cold page cache), so the
+   median needs more than three. *)
+let setup_reps = 5
 
 (* Run [setup] [setup_reps] times; all but the last result are torn down. *)
 let repeated_setup ~setup ~teardown =
@@ -63,6 +65,49 @@ let repeated_setup ~setup ~teardown =
     else (x, dt :: acc)
   in
   go 0 []
+
+(* Share of the machine's CPU time the host stole while [f] ran. *)
+let with_steal f =
+  let s0 = Proc.steal_s () in
+  let x, dt = timed f in
+  let cpus = float_of_int (Domain.recommended_domain_count ()) in
+  (x, (Proc.steal_s () -. s0) /. Float.max 1e-9 (dt *. cpus))
+
+(* serve-cold is compute-bound, and time the host steals lengthens it
+   one for one.  It measures in units (passes over the stream), each
+   made by [unit ()], which returns the unit's result and the share of
+   CPU time stolen while it ran.  Units are made until [need] of them
+   ran with less than [quiet_steal] stolen and [min_s] seconds have
+   passed, or [cap] units have run.  The units reported are those under
+   [quiet_steal], or, if fewer than [need], the [need] with the least
+   steal: which units count depends on measured steal only, never on
+   their times.  Returns the reported units and every unit made, in
+   order.  grid has no such guard: its unit, one collection, takes
+   25-40 s, and a second one does not fit the benchmark's time budget. *)
+let quiet_steal = 0.02
+
+let steal_guarded ~name ~need ~cap ~min_s unit =
+  let t_start = now () in
+  let quiet = List.filter (fun (_, st) -> st < quiet_steal) in
+  let rec go acc =
+    let acc = acc @ [ unit () ] in
+    let n = List.length acc in
+    if n >= cap || (List.length (quiet acc) >= need && now () -. t_start >= min_s)
+    then acc
+    else go acc
+  in
+  let all = go [] in
+  let used =
+    if List.length (quiet all) >= need then quiet all
+    else
+      List.stable_sort (fun (_, a) (_, b) -> compare a b) all
+      |> List.filteri (fun i _ -> i < need)
+  in
+  Printf.printf "%s: %d unit(s), host steal %s; %d used\n" name (List.length all)
+    (String.concat " "
+       (List.map (fun (_, st) -> Printf.sprintf "%.1f%%" (100.0 *. st)) all))
+    (List.length used);
+  (List.map fst used, List.map fst all)
 
 (* Closed loop: [lanes] threads, one connection each; thread [k] sends
    the requests [next k] hands it until that returns [None].  Returns
@@ -104,63 +149,95 @@ let lat_metrics ~wall ~lats ~count =
     ("p99_ms", percentile ms 0.99, n);
     ("ops_per_s", float_of_int count /. wall, n) ]
 
-(* A time-bounded phase is cut into one-second windows by completion
-   time.  Each figure is the median, over the third of the windows in
-   which the host stole the least CPU time from the virtual machine, of
-   that window's figure: a neighbour's burst of load slows every process here
-   at once, and ranking windows by measured steal keeps such a burst
-   out of the result without looking at the latencies themselves.
-   [steal.(k)] is the host steal in window [k]. *)
-let window_metrics ~t0 ~wall ~steal samples =
-  let nw = max 1 (int_of_float wall) in
-  let buckets = Array.make nw [] in
+(* fleet-hot's timed phase is cut into blocks of [every] consecutive
+   stream requests, block [b] starting with the profile push at stream
+   index [every * (b + 1) - 1], so that every block holds one push and
+   the stale answers and background respecialization that follow it.
+   (Cut by time instead, a window holds one push or two, and its tail
+   latency jumps with that count.)  Requests before the first push, and
+   a block the phase ended inside, do not count.  [steal_at t] is the
+   host steal accumulated up to time [t].  Returns, per block in stream
+   order, its latencies, its duration and the host steal per second
+   during it. *)
+let blocks ~every ~steal_at samples =
+  let by = Hashtbl.create 64 in
   List.iter
-    (fun (_, lat, done_at, _) ->
-      let k = min (nw - 1) (max 0 (int_of_float (done_at -. t0))) in
-      buckets.(k) <- lat :: buckets.(k))
+    (fun ((i, _, _, _) as s) ->
+      if i >= every - 1 then
+        let b = (i + 1 - every) / every in
+        Hashtbl.replace by b (s :: Option.value ~default:[] (Hashtbl.find_opt by b)))
     samples;
-  let width k = if k = nw - 1 then wall -. float_of_int (nw - 1) else 1.0 in
+  Hashtbl.fold (fun b ss acc -> if List.length ss = every then (b, ss) :: acc else acc) by []
+  |> List.sort compare
+  |> List.map (fun (_, ss) ->
+         let t0 = List.fold_left (fun a (_, lat, d, _) -> Float.min a (d -. lat)) infinity ss in
+         let t1 = List.fold_left (fun a (_, _, d, _) -> Float.max a d) neg_infinity ss in
+         let dt = Float.max 1e-9 (t1 -. t0) in
+         (List.map (fun (_, lat, _, _) -> lat) ss, dt, (steal_at t1 -. steal_at t0) /. dt))
+
+(* Each figure is the median, over the quiet blocks, of that block's
+   figure; [wall_s] is a block's duration.  The quiet blocks are those
+   in which the host stole no more CPU time per second than in the
+   block ranked at one third by steal: a neighbour's burst of load slows
+   every process here at once, and ranking blocks by measured steal
+   keeps such a burst out of the result without looking at the
+   latencies themselves.  Blocks that tie with that cut all count, so
+   when the host steals nothing the figures cover the whole phase. *)
+let block_metrics ~every ~steal_at samples =
+  let all = blocks ~every ~steal_at samples in
+  let rates = Array.of_list (List.sort compare (List.map (fun (_, _, r) -> r) all)) in
   let quiet =
-    List.init nw Fun.id
-    |> List.filter (fun k -> buckets.(k) <> [])
-    |> List.stable_sort (fun a b ->
-           compare (steal a /. width a) (steal b /. width b))
-    |> List.filteri (fun i _ -> i < max 1 (nw / 3))
+    if rates = [||] then []
+    else
+      let cut = rates.(max 1 (Array.length rates / 3) - 1) in
+      List.filter (fun (_, _, r) -> r <= cut) all
   in
   let per f = median (List.map f quiet) in
-  let pct q = per (fun k -> 1000.0 *. percentile buckets.(k) q) in
-  let n = List.fold_left (fun a k -> a + List.length buckets.(k)) 0 quiet in
-  [ ("p50_ms", pct 0.50, n);
+  let pct q = per (fun (lats, _, _) -> 1000.0 *. percentile lats q) in
+  let n = every * List.length quiet in
+  [ ("wall_s", per (fun (_, dt, _) -> dt), List.length quiet);
+    ("p50_ms", pct 0.50, n);
     ("p80_ms", pct 0.80, n);
     ("p99_ms", pct 0.99, n);
-    ("ops_per_s",
-     per (fun k -> float_of_int (List.length buckets.(k)) /. width k),
-     List.length quiet) ]
+    ("ops_per_s", per (fun (_, dt, _) -> float_of_int every /. dt), List.length quiet) ]
 
-(* Host steal per one-second window from [t0], sampled by a thread until
-   [deadline]; [finish ()] stops it and returns the per-window lookup. *)
-let steal_sampler ~t0 ~deadline =
-  let marks = ref [ (t0, Proc.steal_s ()) ] in
-  let stop = ref false in
+(* Host steal sampled by a thread every [steal_tick] seconds.  Returns
+   [snapshot], which gives the accumulated steal as a function of time
+   (interpolated between samples, up to the moment of the call), and
+   [stop]. *)
+let steal_tick = 0.1
+
+let steal_sampler () =
+  let mu = Mutex.create () in
+  let marks = ref [ (now (), Proc.steal_s ()) ] in
+  let mark () =
+    let m = (now (), Proc.steal_s ()) in
+    Mutex.protect mu (fun () -> marks := m :: !marks)
+  in
+  let stop = Atomic.make false in
   let th =
     Thread.create
       (fun () ->
-        let rec go k =
-          let at = t0 +. float_of_int k in
-          let d = at -. now () in
-          if d > 0.0 then Thread.delay d;
-          marks := (now (), Proc.steal_s ()) :: !marks;
-          if not !stop && at < deadline then go (k + 1)
-        in
-        go 1)
+        while not (Atomic.get stop) do
+          Thread.delay steal_tick;
+          mark ()
+        done)
       ()
   in
-  fun () ->
-    stop := true;
-    Thread.join th;
-    let a = Array.of_list (List.rev !marks) in
-    fun k ->
-      if k + 1 < Array.length a then snd a.(k + 1) -. snd a.(k) else 0.0
+  let snapshot () =
+    mark ();
+    let a = Array.of_list (List.sort compare (Mutex.protect mu (fun () -> !marks))) in
+    let last = Array.length a - 1 in
+    fun t ->
+      if t <= fst a.(0) then snd a.(0)
+      else if t >= fst a.(last) then snd a.(last)
+      else
+        let rec find k = if fst a.(k + 1) >= t then k else find (k + 1) in
+        let k = find 0 in
+        let (ta, sa), (tb, sb) = (a.(k), a.(k + 1)) in
+        sa +. ((sb -. sa) *. (t -. ta) /. Float.max 1e-9 (tb -. ta))
+  in
+  (snapshot, fun () -> Atomic.set stop true; Thread.join th)
 
 let ogc_serve env ~label ~sock extra =
   Proc.spawn ~ogc:env.ogc ~log:(Filename.concat env.dir "servers.log") ~label
@@ -256,10 +333,12 @@ let cold_next ~lanes stream =
       Some (i, r.Streams.c_line)
 
 (* Passes over the stream per run.  One pass is only 21 requests; the
-   percentiles are taken over the requests of all passes (42 samples),
-   which in trials spread less between runs than one pass, or than each
-   request's fastest pass, did. *)
+   percentiles are taken over the requests of the passes used (42
+   samples from two), which in trials spread less between runs than one
+   pass, or than each request's fastest pass, did.  Up to
+   [cold_max_passes] are made while the host steals CPU time. *)
 let cold_passes = 2
+let cold_max_passes = 3
 
 let serve_cold env =
   let stream = Streams.cold_stream ~seed:env.seed in
@@ -270,32 +349,40 @@ let serve_cold env =
         (refs, start_cold_server env ~name:"cold"))
       ~teardown:(fun (_, p) -> Proc.stop p)
   in
-  let t_start = now () in
   (* Each pass over the stream needs caches that start empty, so every
      pass gets a fresh server; only the first start counts as set-up. *)
-  let rec go server k acc =
-    let samples, wall =
-      timed (fun () ->
-          closed_loop ~lanes:env.lanes ~sock:server.Proc.sock
-            ~next:(cold_next ~lanes:env.lanes stream))
+  let k = ref 0 in
+  let pass () =
+    let server =
+      if !k = 0 then first
+      else start_cold_server env ~name:(Printf.sprintf "cold%d" !k)
+    in
+    incr k;
+    let (samples, wall), st =
+      with_steal (fun () ->
+          timed (fun () ->
+              closed_loop ~lanes:env.lanes ~sock:server.Proc.sock
+                ~next:(cold_next ~lanes:env.lanes stream)))
     in
     let rss = Proc.peak_rss_mb server in
     Proc.stop server;
-    let acc = (samples, wall, rss) :: acc in
-    if k + 1 < cold_passes || now () -. t_start < env.seconds then
-      go (start_cold_server env ~name:(Printf.sprintf "cold%d" (k + 1))) (k + 1) acc
-    else acc
+    ((samples, wall, rss), st)
   in
-  let passes = go first 0 [] in
-  let samples = List.concat_map (fun (s, _, _) -> s) passes in
-  let walls = List.map (fun (_, w, _) -> w) passes in
+  let used, passes =
+    steal_guarded ~name:"serve-cold" ~need:cold_passes ~cap:cold_max_passes
+      ~min_s:env.seconds pass
+  in
+  let samples_of ps = List.concat_map (fun (s, _, _) -> s) ps in
+  let samples = samples_of used in
+  let walls = List.map (fun (_, w, _) -> w) used in
+  let all = samples_of passes in
   let failed =
     List.length
       (List.filter
          (fun (i, _, _, resp) ->
            let w = stream.(i).Streams.c_workload in
            not (Streams.check (Streams.Checksum (List.assoc w refs)) resp))
-         samples)
+         all)
   in
   { metrics =
       [ ("wall_s", median walls, List.length walls) ]
@@ -306,7 +393,7 @@ let serve_cold env =
       @ [ ("setup_s", median setups, List.length setups);
           ("peak_rss_mb",
            List.fold_left (fun m (_, _, r) -> Float.max m r) 0.0 passes, List.length passes) ];
-    attempted = List.length samples;
+    attempted = List.length all;
     failed }
 
 (* === fleet-hot ================================================================= *)
@@ -315,6 +402,30 @@ let serve_cold env =
    it) and of the traced run. *)
 let hot_requests = 50_000
 let hot_traced_requests = 3_000
+
+(* fleet-hot's client connections.  run.py confines fleet-hot (this
+   process, the router and the shards) to one CPU.  A request passes
+   client, router, shard and router again, and the router waits for a
+   shard's answer by polling every 0.5 ms ([Router.forward]).  Spread
+   over two vCPUs, each hop wakes a process on the other vCPU, and when
+   the host steals CPU time that wake-up waits for the host: a request
+   then misses the router's poll, and p80_ms and p99_ms rose by a poll
+   interval or more in runs with 10-20% steal.  On one CPU the hops are
+   plain context switches.  One connection keeps one request in flight,
+   so the only other work on that CPU is a shard's background
+   respecialization after a push, which p99_ms is there to show. *)
+let hot_lanes = 1
+
+(* A fleet-hot run measures for [--seconds].  If by then fewer than
+   [hot_quiet_blocks] blocks ran with at most [hot_quiet_steal] of the
+   CPU stolen, it goes on in steps of [hot_extend_s], to at most
+   [hot_max_factor] times [--seconds]: host steal often comes in bursts
+   of a few seconds, and a longer phase holds more quiet blocks for the
+   block rule to choose from. *)
+let hot_quiet_steal = 0.03
+let hot_quiet_blocks = 5
+let hot_extend_s = 5.0
+let hot_max_factor = 2.0
 
 type fleet = { router : Proc.t; shards : Proc.t list }
 
@@ -361,19 +472,31 @@ let fleet_hot env =
   in
   let n = Array.length st.Streams.lines in
   let k = Atomic.make 0 in
-  let deadline = now () +. env.seconds in
-  let next _ =
-    if now () >= deadline then None
-    else
-      let i = Atomic.fetch_and_add k 1 in
-      Some (i, st.Streams.lines.(i mod n))
-  in
+  let snapshot, stop_sampler = steal_sampler () in
   let t0 = now () in
-  let steal = steal_sampler ~t0 ~deadline in
-  let samples, wall =
-    timed (fun () -> closed_loop ~lanes:env.lanes ~sock:f.router.Proc.sock ~next)
+  let rec measure acc ~until =
+    let next _ =
+      if now () >= until then None
+      else
+        let i = Atomic.fetch_and_add k 1 in
+        Some (i, st.Streams.lines.(i mod n))
+    in
+    let acc = closed_loop ~lanes:hot_lanes ~sock:f.router.Proc.sock ~next @ acc in
+    let quiet =
+      List.length
+        (List.filter
+           (fun (_, _, r) -> r <= hot_quiet_steal)
+           (blocks ~every:Streams.push_every ~steal_at:(snapshot ()) acc))
+    in
+    let cap = t0 +. (hot_max_factor *. env.seconds) in
+    if quiet >= hot_quiet_blocks || now () >= cap then acc
+    else measure acc ~until:(Float.min cap (now () +. hot_extend_s))
   in
-  let steal = steal () in
+  let samples = measure [] ~until:(t0 +. env.seconds) in
+  let timed_s = now () -. t0 in
+  let steal_at = snapshot () in
+  stop_sampler ();
+  Printf.printf "fleet-hot: timed phase %.1f s\n" timed_s;
   let rss =
     List.fold_left (fun a p -> a +. Proc.peak_rss_mb p) 0.0 (f.router :: f.shards)
   in
@@ -386,8 +509,7 @@ let fleet_hot env =
   in
   let count = List.length samples in
   { metrics =
-      [ ("wall_s", wall, 1) ]
-      @ window_metrics ~t0 ~wall ~steal samples
+      block_metrics ~every:Streams.push_every ~steal_at samples
       @ [ ("setup_s", median setups, List.length setups);
           ("peak_rss_mb", rss, 3) ];
     attempted = count;
@@ -481,20 +603,47 @@ let checked lay expect resp =
   ignore (decode lay resp);
   ignore (Layers.verdict lay (Streams.check expect resp))
 
-(* Shared tail of the traced runs: the recorder's own cost, the share of
-   lane time no layer span covers, the Chrome trace and the table. *)
-let finish_traced env ~name ~lay ~rc ~lanes ~wall ~extra =
+(* [obs.trace_overhead_frac]: the replay's time with the recorder on
+   ([traced]: spans, counters, the program digests and the calibration
+   runs of [Layers.simulate]) and off ([untraced]), as
+   (traced - untraced) / untraced. *)
+let overhead ~traced ~untraced = (traced -. untraced) /. Float.max 1e-9 untraced
+
+(* For calls of a few microseconds, timing each call would mostly
+   measure the clock: the overhead comes from a batch of the replay
+   alone, run five times with a scratch recorder and five times
+   untraced, alternating which goes first; medians. *)
+let replay_overhead replay =
+  let t = ref [] and u = ref [] in
+  let pass rc acc = acc := snd (timed (fun () -> replay (Layers.create rc))) :: !acc in
+  for r = 1 to 5 do
+    let traced () = pass (Some (Spans.create ())) t and untraced () = pass None u in
+    if r mod 2 = 1 then (traced (); untraced ()) else (untraced (); traced ())
+  done;
+  overhead ~traced:(median !t) ~untraced:(median !u)
+
+(* Times one item's replay traced and untraced back to back on lane
+   [k], alternating which goes first with the item's index [i], so that
+   a slow stretch of the host weighs on both sides alike; the times add
+   up in [t.(k)] and [u.(k)]. *)
+let paired ~t ~u k i traced untraced =
+  let run acc f = acc.(k) <- acc.(k) +. snd (timed f) in
+  if i mod 2 = 0 then (run t traced; run u untraced)
+  else (run u untraced; run t traced)
+
+let sum = Array.fold_left ( +. ) 0.0
+
+(* Shared tail of the traced runs: the share of the traced lane time
+   ([busy], lane-seconds) no layer span covers, the Chrome trace and the
+   table. *)
+let finish_traced env ~name ~lay ~rc ~busy ~overhead ~extra =
   let spans = Spans.spans rc in
   let top =
     List.fold_left
       (fun a (s : Spans.span) -> if s.parent < 0 then a +. (s.t1 -. s.t0) else a)
       0.0 spans
   in
-  let capacity = float_of_int lanes *. wall in
-  let n = float_of_int (List.length spans) in
-  let cost = n *. Spans.per_span_cost () in
-  let overhead = cost /. Float.max 1e-9 (capacity -. cost) in
-  let unattributed = Float.max 0.0 (1.0 -. (top /. capacity)) in
+  let unattributed = Float.max 0.0 (1.0 -. (top /. busy)) in
   let path =
     Filename.concat env.dir (Printf.sprintf "trace-%s-seed%d.json" name env.seed)
   in
@@ -517,8 +666,8 @@ let finish_traced env ~name ~lay ~rc ~lanes ~wall ~extra =
     | "server.encode" -> Some ("ns/B", Layers.get lay "json.encode_bytes")
     | _ -> None
   in
-  Printf.printf "layer table (%s, seed %d): %d spans on %d lane(s) over %.3f s\n"
-    name env.seed (List.length spans) lanes wall;
+  Printf.printf "layer table (%s, seed %d): %d spans over %.3f traced lane-seconds\n"
+    name env.seed (List.length spans) busy;
   Printf.printf "  %-22s %12s %8s %14s\n" "span" "self_s" "count" "per unit";
   List.iter
     (fun (k, s, c) ->
@@ -529,7 +678,7 @@ let finish_traced env ~name ~lay ~rc ~lanes ~wall ~extra =
       in
       Printf.printf "  %-22s %12.6f %8d %14s\n" k s c unit_col)
     rows;
-  Printf.printf "  unattributed %.2f%% of lane time; recorder overhead %.3f%%\n"
+  Printf.printf "  unattributed %.2f%% of lane time; tracing overhead %.3f%%\n"
     (100.0 *. unattributed) (100.0 *. overhead);
   Printf.printf "  chrome trace: %s\n" path;
   metrics
@@ -598,27 +747,30 @@ let grid_traced env =
   let r, phases = Results.collect_timed ~quick:true ~jobs:env.lanes () in
   let a, f = check_grid refs r in
   let lanes = grid_lanes ~lanes:env.lanes r in
-  let (), wall =
-    timed (fun () ->
-        run_lanes env.lanes (fun k ->
-            List.iteri
-              (fun i (w : Workload.t) ->
-                if lanes.(i) = k then
-                  Spans.with_req i (fun () ->
-                      grid_replay lay w (List.assoc w.name refs)))
-              Workload.all))
-  in
+  (* Each surrogate's replay runs traced and untraced, paired. *)
+  let plain = Layers.create None in
+  let t = Array.make env.lanes 0.0 and u = Array.make env.lanes 0.0 in
+  run_lanes env.lanes (fun k ->
+      List.iteri
+        (fun i (w : Workload.t) ->
+          if lanes.(i) = k then
+            let expect = List.assoc w.name refs in
+            paired ~t ~u k i
+              (fun () -> Spans.with_req i (fun () -> grid_replay lay w expect))
+              (fun () -> grid_replay plain w expect))
+        Workload.all);
   let phase k = Option.value ~default:0.0 (List.assoc_opt k phases) in
   let metrics =
-    finish_traced env ~name:"grid" ~lay ~rc ~lanes:env.lanes ~wall
+    finish_traced env ~name:"grid" ~lay ~rc ~busy:(sum t)
+      ~overhead:(overhead ~traced:(sum t) ~untraced:(sum u))
       ~extra:
         [ ("harness.baselines_s", phase "baselines");
           ("harness.analyses_s", phase "analyses");
           ("harness.versions_s", phase "versions") ]
   in
   { metrics = List.map (fun (k, v) -> (k, v, 1)) metrics;
-    attempted = a + lay.Layers.checked;
-    failed = f + lay.Layers.mismatches }
+    attempted = a + lay.Layers.checked + plain.Layers.checked;
+    failed = f + lay.Layers.mismatches + plain.Layers.mismatches }
 
 let inproc_server env name =
   Server.create
@@ -632,43 +784,49 @@ let serve_cold_traced env =
   let inproc = inproc_server env "inproc" in
   let rc = Spans.create () in
   let lay = Layers.create (Some rc) in
-  let store = Pass.Store.create () in
   let mu = Mutex.create () in
   let handle = ref [] and wait = ref [] in
   let lane_of = Streams.cold_lane ~lanes:env.lanes in
+  (* The library calls the server makes for one request. *)
+  let replay lay ~store (q : Streams.cold_req) =
+    let expect = List.assoc q.c_workload refs in
+    let r =
+      match decode_request lay q.c_line with
+      | Protocol.Analyze r -> r
+      | _ -> invalid_arg "serve-cold: not an analysis"
+    in
+    ignore
+      (Layers.span lay "server.key" (fun () ->
+           (Protocol.cache_key r, Protocol.route_key r)));
+    replay_analysis lay ~store ~expect r (Workload.find q.c_workload).source
+  in
+  let each_request k f =
+    Array.iteri
+      (fun i (q : Streams.cold_req) ->
+        if lane_of q.c_workload = k then Spans.with_req i (fun () -> f i q))
+      stream
+  in
+  let store = Pass.Store.create () in
   let work k =
     let c = Proc.connect server.Proc.sock in
     Fun.protect ~finally:(fun () -> Proc.close c) @@ fun () ->
-    Array.iteri
-      (fun i (q : Streams.cold_req) ->
-        if lane_of q.c_workload = k then
-          Spans.with_req i @@ fun () ->
-          let expect = List.assoc q.c_workload refs in
-          let r =
-            match decode_request lay q.c_line with
-            | Protocol.Analyze r -> r
-            | _ -> invalid_arg "serve-cold: not an analysis"
-          in
-          ignore
-            (Layers.span lay "server.key" (fun () ->
-                 (Protocol.cache_key r, Protocol.route_key r)));
-          replay_analysis lay ~store ~expect r (Workload.find q.c_workload).source;
-          let local, dt_h =
-            timed (fun () ->
-                Layers.span lay "server.handle" (fun () ->
-                    Server.handle_line inproc q.c_line))
-          in
-          let resp, dt_w =
-            timed (fun () -> Layers.span lay "server.wire" (fun () -> Proc.rpc c q.c_line))
-          in
-          Layers.add lay "json.response_bytes" (float_of_int (String.length resp));
-          checked lay (Streams.Checksum expect) local;
-          checked lay (Streams.Checksum expect) resp;
-          Mutex.lock mu;
-          handle := dt_h :: !handle;
-          wait := (dt_w -. dt_h) :: !wait;
-          Mutex.unlock mu)
-      stream
+    each_request k @@ fun _ q ->
+    let expect = List.assoc q.c_workload refs in
+    replay lay ~store q;
+    let local, dt_h =
+      timed (fun () ->
+          Layers.span lay "server.handle" (fun () -> Server.handle_line inproc q.c_line))
+    in
+    let resp, dt_w =
+      timed (fun () -> Layers.span lay "server.wire" (fun () -> Proc.rpc c q.c_line))
+    in
+    Layers.add lay "json.response_bytes" (float_of_int (String.length resp));
+    checked lay (Streams.Checksum expect) local;
+    checked lay (Streams.Checksum expect) resp;
+    Mutex.lock mu;
+    handle := dt_h :: !handle;
+    wait := (dt_w -. dt_h) :: !wait;
+    Mutex.unlock mu
   in
   let (), wall = timed (fun () -> run_lanes env.lanes work) in
   let counters = server_counters [ remote_stats server ] in
@@ -676,16 +834,33 @@ let serve_cold_traced env =
   let h, m = Layers.store_counts store in
   Layers.add lay "pass.store_hits" (float_of_int h);
   Layers.add lay "pass.store_misses" (float_of_int m);
+  (* For the overhead, the first third of the stream is replayed again,
+     each request traced (on a scratch recorder) and untraced, paired,
+     each side with its own store.  Every request before a sampled one
+     is sampled too, so both sides see the same store contents.  A third
+     keeps the run inside its time limit. *)
+  let sampled i = i < Array.length stream / 3 in
+  let scratch = Layers.create (Some (Spans.create ())) and plain = Layers.create None in
+  let store_t = Pass.Store.create () and store_u = Pass.Store.create () in
+  let t = Array.make env.lanes 0.0 and u = Array.make env.lanes 0.0 in
+  run_lanes env.lanes (fun k ->
+      each_request k (fun i q ->
+          if sampled i then
+            paired ~t ~u k i
+              (fun () -> replay scratch ~store:store_t q)
+              (fun () -> replay plain ~store:store_u q)));
+  let ov = overhead ~traced:(sum t) ~untraced:(sum u) in
   let metrics =
-    finish_traced env ~name:"serve-cold" ~lay ~rc ~lanes:env.lanes ~wall
+    finish_traced env ~name:"serve-cold" ~lay ~rc
+      ~busy:(float_of_int env.lanes *. wall) ~overhead:ov
       ~extra:
         ([ ("server.handle_ms", ms_median !handle);
            ("server.wire_wait_ms", ms_median !wait) ]
         @ counters)
   in
   { metrics = List.map (fun (k, v) -> (k, v, 1)) metrics;
-    attempted = lay.Layers.checked;
-    failed = lay.Layers.mismatches }
+    attempted = lay.Layers.checked + scratch.Layers.checked + plain.Layers.checked;
+    failed = lay.Layers.mismatches + scratch.Layers.mismatches + plain.Layers.mismatches }
 
 let fleet_hot_traced env =
   let st, f = fleet_setup env hot_traced_requests () in
@@ -708,7 +883,9 @@ let fleet_hot_traced env =
   let store = Pass.Store.create () in
   let handle = ref [] and wait = ref [] and route = ref [] in
   let lookups = 64 in
-  let one line expect =
+  (* The library calls the router and the server make before a request
+     reaches a cache: decode, keys, placement. *)
+  let replay lay line =
     let op = decode_request lay line in
     let rkey =
       Layers.span lay "server.key" (fun () ->
@@ -727,6 +904,10 @@ let fleet_hot_traced env =
           done;
           !o)
     in
+    (op, owner)
+  in
+  let one line expect =
+    let op, owner = replay lay line in
     let local, dt_h =
       timed (fun () ->
           Layers.span lay "server.handle" (fun () -> Server.handle_line inproc line))
@@ -772,10 +953,14 @@ let fleet_hot_traced env =
   let h, m = Layers.store_counts store in
   Layers.add lay "pass.store_hits" (float_of_int h);
   Layers.add lay "pass.store_misses" (float_of_int m);
+  let ov =
+    replay_overhead (fun lay ->
+        Array.iter (fun line -> ignore (replay lay line)) st.Streams.lines)
+  in
   let by = Spans.by_name rc in
   let ring_s = fst (Option.value ~default:(0.0, 0) (Hashtbl.find_opt by "fleet.ring_lookup")) in
   let metrics =
-    finish_traced env ~name:"fleet-hot" ~lay ~rc ~lanes:1 ~wall
+    finish_traced env ~name:"fleet-hot" ~lay ~rc ~busy:wall ~overhead:ov
       ~extra:
         ([ ("server.handle_ms", ms_median !handle);
            ("server.wire_wait_ms", ms_median !wait);

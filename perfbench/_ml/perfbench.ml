@@ -1,13 +1,13 @@
-(* Benchmark entry point: one workload (or all three) untraced, printing the
-   end-to-end metrics, or traced, printing the per-layer metrics.  The
-   last line of standard output is the JSON result.
+(* Benchmark entry point: one workload untraced, printing the end-to-end
+   metrics, or traced, printing the per-layer metrics.  The last line of
+   standard output is the JSON result.  run.py runs all three in turn.
 
-   perfbench.exe --workload grid|serve-cold|fleet-hot|all --seed N
+   perfbench.exe --workload grid|serve-cold|fleet-hot --seed N
                  --seconds S --trace 0|1 --ogc PATH [--dir DIR] *)
 
 let usage () =
   prerr_endline
-    "usage: perfbench --workload grid|serve-cold|fleet-hot|all --seed N \
+    "usage: perfbench --workload grid|serve-cold|fleet-hot --seed N \
      --seconds S --trace 0|1 --ogc PATH [--dir DIR]";
   exit 2
 
@@ -38,11 +38,8 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let seed = match !seed with Some s -> s | None -> usage () in
-  let names =
-    match !workload with
-    | "all" -> Catalog.workloads
-    | w when List.mem w Catalog.workloads -> [ w ]
-    | _ -> usage ()
+  let name =
+    if List.mem !workload Catalog.workloads then !workload else usage ()
   in
   if not (Sys.file_exists !ogc) then begin
     prerr_endline ("perfbench: no ogc executable at " ^ !ogc);
@@ -53,63 +50,50 @@ let () =
   ignore
     (Thread.create
        (fun () ->
-         Thread.delay (watchdog_s *. float_of_int (List.length names));
+         Thread.delay watchdog_s;
          prerr_endline "perfbench: watchdog expired, stopping";
          Proc.kill_all ();
          Unix._exit 3)
        ());
+  let cpus = Domain.recommended_domain_count () in
   let env =
     { Bench.ogc = !ogc; dir = !dir; seed; seconds = !seconds;
-      lanes = max 1 (min 2 (Domain.recommended_domain_count ())) }
+      lanes = max 1 (min 2 cpus) }
   in
   let units = if !trace = 0 then Catalog.end_to_end else Catalog.per_layer in
-  let run name =
-    let f =
-      match (name, !trace) with
-      | "grid", 0 -> Bench.grid
-      | "serve-cold", 0 -> Bench.serve_cold
-      | "fleet-hot", 0 -> Bench.fleet_hot
-      | "grid", _ -> Bench.grid_traced
-      | "serve-cold", _ -> Bench.serve_cold_traced
-      | _ -> Bench.fleet_hot_traced
-    in
-    let steal0 = Proc.steal_s () and t0 = Unix.gettimeofday () in
-    let o = f env in
-    let steal = Proc.steal_s () -. steal0 and dt = Unix.gettimeofday () -. t0 in
-    Printf.printf "%s: host steal %.2f s over %.1f s (%.1f%% of %d CPUs)\n" name steal
-      dt (100.0 *. steal /. (dt *. float_of_int (Domain.recommended_domain_count ())))
-      (Domain.recommended_domain_count ());
-    let frac =
-      float_of_int o.Bench.failed /. float_of_int (max 1 o.Bench.attempted)
-    in
-    List.iter
-      (fun (k, v, n) ->
-        Printf.printf "%s %s = %s %s (samples %d)\n" name k (json_num v)
-          (List.assoc k units) n)
-      o.Bench.metrics;
-    Printf.printf "%s %s = %s %s (samples %d)\n" name (fst Catalog.failed_frac)
-      (json_num frac) (snd Catalog.failed_frac) o.Bench.attempted;
-    (name, o)
+  let f =
+    match (name, !trace) with
+    | "grid", 0 -> Bench.grid
+    | "serve-cold", 0 -> Bench.serve_cold
+    | "fleet-hot", 0 -> Bench.fleet_hot
+    | "grid", _ -> Bench.grid_traced
+    | "serve-cold", _ -> Bench.serve_cold_traced
+    | _ -> Bench.fleet_hot_traced
   in
-  let outs =
-    Fun.protect ~finally:Proc.kill_all (fun () -> List.map run names)
-  in
-  let attempted = List.fold_left (fun a (_, o) -> a + o.Bench.attempted) 0 outs in
-  let failed = List.fold_left (fun a (_, o) -> a + o.Bench.failed) 0 outs in
+  let steal0 = Proc.steal_s () and t0 = Unix.gettimeofday () in
+  let o = Fun.protect ~finally:Proc.kill_all (fun () -> f env) in
+  let steal = Proc.steal_s () -. steal0 and dt = Unix.gettimeofday () -. t0 in
+  Printf.printf "%s: host steal %.2f s over %.1f s (%.1f%% of %d CPUs)\n" name steal dt
+    (100.0 *. steal /. (dt *. float_of_int cpus))
+    cpus;
+  let frac = float_of_int o.Bench.failed /. float_of_int (max 1 o.Bench.attempted) in
+  List.iter
+    (fun (k, v, n) ->
+      Printf.printf "%s %s = %s %s (samples %d)\n" name k (json_num v)
+        (List.assoc k units) n)
+    o.Bench.metrics;
+  Printf.printf "%s %s = %s %s (samples %d)\n" name (fst Catalog.failed_frac)
+    (json_num frac) (snd Catalog.failed_frac) o.Bench.attempted;
   let metrics =
-    List.concat_map
-      (fun (name, o) ->
-        List.map
-          (fun (k, v, _) ->
-            let key = if List.length outs = 1 then k else name ^ "." ^ k in
-            Printf.sprintf "%S: {\"value\": %s, \"unit\": %S}" key (json_num v)
-              (List.assoc k units))
-          o.Bench.metrics)
-      outs
+    List.map
+      (fun (k, v, _) ->
+        Printf.sprintf "%S: {\"value\": %s, \"unit\": %S}" k (json_num v)
+          (List.assoc k units))
+      o.Bench.metrics
   in
   Printf.printf
     "{\"correct\": %b, \"attempted\": %d, \"failed\": %d, \"metrics\": {%s}}\n%!"
-    (failed = 0 && attempted > 0) attempted failed
+    (o.Bench.failed = 0 && o.Bench.attempted > 0) o.Bench.attempted o.Bench.failed
     (String.concat ", " metrics);
   (* Worker domains of in-process servers never return; leave without
      waiting for them. *)

@@ -94,19 +94,44 @@ let peak_rss_mb_of path =
 let peak_rss_mb p = peak_rss_mb_of (Printf.sprintf "/proc/%d/status" p.pid)
 let self_peak_rss_mb () = peak_rss_mb_of "/proc/self/status"
 
+(* The one CPU this process may run on, if its affinity allows only one
+   (run.py pins fleet-hot so): its row of /proc/stat is the one whose
+   steal matters. *)
+let pinned_cpu =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+    Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+    let rec go () =
+      match input_line ic with
+      | exception End_of_file -> None
+      | l -> (
+        match String.split_on_char ':' l with
+        | [ "Cpus_allowed_list"; v ] -> int_of_string_opt (String.trim v)
+        | _ -> go ())
+    in
+    go ()
+
 (* Host CPU time stolen from the virtual machine so far, in seconds (the steal
-   column of /proc/stat): a neighbour's load the benchmark cannot
-   control, printed next to the figures it disturbs. *)
+   column of /proc/stat, of the pinned CPU if there is one, else of all
+   CPUs): a neighbour's load the benchmark cannot control, printed next
+   to the figures it disturbs. *)
 let steal_s () =
+  let row =
+    match pinned_cpu with Some c -> Printf.sprintf "cpu%d" c | None -> "cpu"
+  in
   match open_in "/proc/stat" with
   | exception Sys_error _ -> 0.0
   | ic ->
     Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-    (match String.split_on_char ' ' (input_line ic) |> List.filter (( <> ) "") with
-    | "cpu" :: fields when List.length fields >= 8 ->
-      float_of_string (List.nth fields 7) /. 100.0
-    | _ -> 0.0
-    | exception _ -> 0.0)
+    let rec go () =
+      match String.split_on_char ' ' (input_line ic) |> List.filter (( <> ) "") with
+      | r :: fields when r = row && List.length fields >= 8 ->
+        float_of_string (List.nth fields 7) /. 100.0
+      | _ -> go ()
+      | exception _ -> 0.0
+    in
+    go ()
 
 (* SIGINT drains gracefully; a process that has not exited after five
    seconds is killed.  Either way it is reaped before this returns. *)

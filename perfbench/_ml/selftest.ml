@@ -97,7 +97,8 @@ let streams () =
   check "fleet-hot: different seeds give different streams" (hot 7 <> hot 8)
 
 (* A small traced replay over the fleet-hot program family: every
-   distinct analysis of the stream, call by call. *)
+   distinct analysis of the stream, call by call, each after a reference
+   run of its program as the grid replay makes. *)
 let traced_counters () =
   let st = Streams.hot_stream ~seed:3 2000 in
   let rc = Spans.create () in
@@ -109,6 +110,9 @@ let traced_counters () =
       | Protocol.Analyze r -> (
         match r.Protocol.payload with
         | Protocol.Source src ->
+          let p, _ = Layers.compile lay src in
+          Streams.set_scale_if p;
+          ignore (Layers.interp lay p);
           Bench.replay_analysis lay ~store
             ~expect:(Streams.reference_of_source src) r src
         | _ -> ())
@@ -139,27 +143,81 @@ let percentiles () =
     && Bench.percentile xs 0.25 = 2.0
     && Bench.percentile [ 1.0; 2.0 ] 0.5 = 1.5)
 
-(* Four one-second windows; the host stole time in windows 1 and 3,
-   whose requests were slow.  The figures come from windows 0 and 2. *)
-let quiet_windows () =
+(* fleet-hot's blocks, with 8 requests per block: stream index [i]
+   completes at (i + 2) / 8 s, block [b] spans [b + 1, b + 2) s, and
+   [lat b] is the latency of every request of block [b].  [steal_rate b]
+   is the host steal per second during block [b]; [extra] more requests
+   follow the last full block. *)
+let blocks ~n ~lat ~steal_rate ~extra =
+  let every = 8 in
   let samples =
-    List.concat_map
-      (fun k ->
-        let lat = if k mod 2 = 1 then 0.050 else 0.001 in
-        let n = if k mod 2 = 1 then 10 else 100 in
-        List.init n (fun i -> (i, lat, float_of_int k +. 0.5, "")))
-      [ 0; 1; 2; 3 ]
+    List.init ((every * (n + 1)) - 1 + extra) (fun i ->
+        let done_at = float_of_int (i + 2) /. 8.0 in
+        let b = (i + 1 - every) / every in
+        (i, (if i < every - 1 then 0.125 else lat b), done_at, ""))
   in
-  let steal k = if k mod 2 = 1 then 0.5 else 0.0 in
-  let ms = Bench.window_metrics ~t0:0.0 ~wall:4.0 ~steal samples in
-  let get n = List.find_map (fun (k, v, _) -> if k = n then Some v else None) ms in
-  check "windows with host steal are left out"
-    (get "p99_ms" = Some 1.0 && get "ops_per_s" = Some 100.0)
+  let steal_at t =
+    let acc = ref 0.0 in
+    for b = 0 to n do
+      let lo = float_of_int (b + 1) in
+      acc := !acc +. (steal_rate b *. Float.max 0.0 (Float.min 1.0 (t -. lo)))
+    done;
+    !acc
+  in
+  let ms = Bench.block_metrics ~every ~steal_at samples in
+  fun name -> List.find_map (fun (k, v, c) -> if k = name then Some (v, c) else None) ms
+
+(* Four blocks; the host stole time in blocks 1 and 3, whose requests
+   were slow, and a fifth block is cut short.  The figures come from
+   blocks 0 and 2. *)
+let quiet_blocks () =
+  let get =
+    blocks ~n:4
+      ~lat:(fun b -> if b mod 2 = 1 then 0.5 else 0.125)
+      ~steal_rate:(fun b -> if b mod 2 = 1 then 0.5 else 0.0)
+      ~extra:3
+  in
+  check "blocks with host steal are left out"
+    (get "p99_ms" = Some (125.0, 16)
+    && get "ops_per_s" = Some (8.0, 2)
+    && get "wall_s" = Some (1.0, 2))
+
+(* Six blocks without any steal; the last three are slower.  Every
+   block ties at no steal, so the figures cover the whole run. *)
+let steal_free_blocks () =
+  let get =
+    blocks ~n:6
+      ~lat:(fun b -> if b < 3 then 0.125 else 0.25)
+      ~steal_rate:(fun _ -> 0.0)
+      ~extra:0
+  in
+  check "without host steal every block counts" (get "p50_ms" = Some (187.5, 48))
+
+(* Units made while the host steals CPU time: [steals] is the share
+   stolen during each successive unit. *)
+let guarded steals =
+  let left = ref (List.mapi (fun i st -> (i, st)) steals) in
+  let unit () =
+    match !left with
+    | u :: rest -> left := rest; u
+    | [] -> invalid_arg "guarded: too many units"
+  in
+  Bench.steal_guarded ~name:"selftest" ~need:2 ~cap:4 ~min_s:0.0 unit
+
+let steal_guard () =
+  check "compute-bound units: a quiet host makes only the units needed"
+    (guarded [ 0.0; 0.001 ] = ([ 0; 1 ], [ 0; 1 ]));
+  check "compute-bound units: stolen units are replaced by quiet ones"
+    (guarded [ 0.05; 0.0; 0.03; 0.01 ] = ([ 1; 3 ], [ 0; 1; 2; 3 ]));
+  check "compute-bound units: under steal throughout, the least stolen count"
+    (guarded [ 0.1; 0.2; 0.05; 0.3 ] = ([ 2; 0 ], [ 0; 1; 2; 3 ]))
 
 let () =
   catalogue ();
+  steal_guard ();
   percentiles ();
-  quiet_windows ();
+  quiet_blocks ();
+  steal_free_blocks ();
   flipped_checksum ();
   streams ();
   determinism ();

@@ -84,17 +84,6 @@ let by_name r =
     (self_times r);
   h
 
-(* What one span costs to record, measured on a scratch recorder: the
-   traced run makes exactly these calls on top of the untraced work. *)
-let per_span_cost () =
-  let r = Some (create ()) in
-  let n = 20_000 in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to n do
-    with_ r "probe" ignore
-  done;
-  (Unix.gettimeofday () -. t0) /. float_of_int n
-
 let write_chrome r path =
   let us t = Printf.sprintf "%.3f" ((t -. r.origin) *. 1e6) in
   let oc = open_out path in

@@ -9,9 +9,12 @@ Run from the repository root.  The OCaml program under perfbench/_ml is
 built out of tree in .bench_build/ws, next to copies of lib/, bin/ and
 dune-project, so the repository's own `dune build` never sees it.  The
 last line of standard output is the JSON result; everything else
-(build output, progress) goes before it or to standard error.
+(build output, progress) goes before it or to standard error.  With
+--workload all, each workload runs in its own process and the results
+are merged into one.
 """
 
+import json
 import os
 import shutil
 import subprocess
@@ -82,19 +85,69 @@ def build():
     return os.path.join(WS, "_build", "default")
 
 
+# Workloads run with the benchmark and every process it starts confined
+# to one CPU (see perfbench/README.md, "Load sized to nproc").
+PINNED = {"fleet-hot"}
+WORKLOADS = ["grid", "serve-cold", "fleet-hot"]
+
+
+def run_workload(cmd, workload, capture):
+    """Run perfbench.exe on one workload; returns (exit code, stdout lines
+    if captured)."""
+    pin = None
+    if workload in PINNED:
+        cpu = min(os.sched_getaffinity(0))
+        pin = lambda: os.sched_setaffinity(0, {cpu})
+    sys.stdout.flush()
+    p = subprocess.Popen(cmd + ["--workload", workload], cwd=ROOT, preexec_fn=pin,
+                         stdout=subprocess.PIPE if capture else None, text=True)
+    lines = []
+    if capture:
+        for line in p.stdout:
+            lines.append(line)
+            if len(lines) > 1:
+                sys.stdout.write(lines[-2])
+    return p.wait(), lines
+
+
+def run_all(cmd):
+    """Every workload in turn; one result whose metric names are prefixed
+    with the workload's."""
+    merged = {"correct": True, "attempted": 0, "failed": 0, "metrics": {}}
+    for w in WORKLOADS:
+        code, lines = run_workload(cmd, w, capture=True)
+        if code != 0 or not lines:
+            print("perfbench: %s failed" % w, file=sys.stderr)
+            return code or 1
+        r = json.loads(lines[-1])
+        merged["correct"] = merged["correct"] and r["correct"]
+        merged["attempted"] += r["attempted"]
+        merged["failed"] += r["failed"]
+        for k, v in r["metrics"].items():
+            merged["metrics"][w + "." + k] = v
+    print(json.dumps(merged))
+    return 0
+
+
 def main(argv):
     out = build()
     run_dir = os.path.join(BUILD, "run")
     os.makedirs(run_dir, exist_ok=True)
     rel = lambda p: os.path.relpath(p, ROOT)
     if argv == ["--selftest"]:
-        cmd = [os.path.join(out, "perfbench", "selftest.exe")]
-    else:
-        cmd = [os.path.join(out, "perfbench", "perfbench.exe"),
-               "--ogc", rel(os.path.join(out, "bin", "ogc.exe")),
-               "--dir", rel(run_dir)] + argv
-    sys.stdout.flush()
-    return subprocess.run(cmd, cwd=ROOT).returncode
+        sys.stdout.flush()
+        return subprocess.run([os.path.join(out, "perfbench", "selftest.exe")],
+                              cwd=ROOT).returncode
+    if "--workload" not in argv[:-1]:
+        fail("--workload grid|serve-cold|fleet-hot|all is required")
+    i = argv.index("--workload")
+    workload, rest = argv[i + 1], argv[:i] + argv[i + 2:]
+    cmd = [os.path.join(out, "perfbench", "perfbench.exe"),
+           "--ogc", rel(os.path.join(out, "bin", "ogc.exe")),
+           "--dir", rel(run_dir)] + rest
+    if workload == "all":
+        return run_all(cmd)
+    return run_workload(cmd, workload, capture=False)[0]
 
 
 if __name__ == "__main__":
