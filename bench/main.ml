@@ -242,9 +242,11 @@ let () =
     Ogc_obs.Span.write path;
     Ogc_obs.Span.set_enabled false;
     Format.printf "wrote %s@." path);
-  Format.printf "phases:%s@.@."
+  Format.printf "phases:%s@."
     (String.concat ""
        (List.map (fun (n, s) -> Printf.sprintf " %s %.1fs" n s) phases));
+  Format.printf "simulations: %d (%d dynamic instructions)@.@."
+    res.Results.simulations res.Results.sim_instructions;
   (* Serve-fleet smoke: router + 3 shards, one killed mid-run. *)
   let res =
     let fb = run_fleet_bench () in
@@ -466,9 +468,11 @@ let () = if opts.skip_micro then () else begin
         let w = W.find name in
         let p = W.compile w W.Train in
         ignore (Vrp.run p);
+        (* One run, priced under both memory modes. *)
+        let r = Pipeline.run p in
         let e mode =
           Account.total
-            (Pipeline.simulate ~memory_mode:mode ~policy:Policy.Software p)
+            (Pipeline.price ~memory_mode:mode ~policy:Policy.Software r)
               .Pipeline.energy
         in
         let tagged = e Pipeline.Tagged and sext = e Pipeline.Sign_extend in
@@ -492,15 +496,16 @@ let () = if opts.skip_micro then () else begin
         let w = W.find name in
         let p = W.compile w W.Train in
         ignore (Vrp.run p);
-        let base_p = W.compile w W.Train in
+        (* Two runs, each priced under three parameter sets. *)
+        let base_r = Pipeline.run (W.compile w W.Train) in
+        let opt_r = Pipeline.run p in
         let saving params =
-          let e prog policy =
-            Account.total
-              (Pipeline.simulate ~params ~policy prog).Pipeline.energy
+          let e r policy =
+            Account.total (Pipeline.price ~params ~policy r).Pipeline.energy
           in
           Account.savings
-            ~baseline:(e base_p Policy.No_gating)
-            ~improved:(e p Policy.Software)
+            ~baseline:(e base_r Policy.No_gating)
+            ~improved:(e opt_r Policy.Software)
         in
         [ name;
           Ogc_harness.Render.pct (saving Ogc_energy.Energy_params.ideal_gating);

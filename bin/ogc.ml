@@ -390,10 +390,9 @@ let trace_cmd =
     let p_vrs = Prog.copy p in
     ignore (Vrp.run p) (* records the "vrp" span *);
     ignore (Vrs.run p_vrs) (* records "vrs" and its train/profile steps *);
-    let stats =
-      Pipeline.simulate ~policy:Policy.Software p (* records "simulate" *)
-    in
+    let r = Pipeline.run p (* records "simulate" *) in
     Span.with_ ~name:"energy" (fun () ->
+        let stats = Pipeline.price ~policy:Policy.Software r (* "price" *) in
         let total = Account.total stats.Pipeline.energy in
         let by = Account.by_structure stats.Pipeline.energy in
         Format.printf "energy: %.0f nJ over %d cycles (%d structures)@."

@@ -28,6 +28,8 @@ let () =
   let base = Workload.compile w Workload.Train in
   let opt = Workload.compile w Workload.Train in
   ignore (Vrp.run opt);
+  (* Each binary is simulated once; every policy only prices its run. *)
+  let base = Pipeline.run base and opt = Pipeline.run opt in
   let runs =
     [ ("none", Policy.No_gating, base);
       ("sw (VRP widths)", Policy.Software, opt);
@@ -37,7 +39,7 @@ let () =
       ("sw + size", Policy.Sw_plus_size, opt) ]
   in
   let stats =
-    List.map (fun (n, p, prog) -> (n, Pipeline.simulate ~policy:p prog)) runs
+    List.map (fun (n, policy, r) -> (n, Pipeline.price ~policy r)) runs
   in
   let baseline = List.assoc "none" stats in
   let e s = Account.total s.Pipeline.energy in

@@ -13,18 +13,21 @@
     loads do not stall on unresolved store addresses (no memory
     disambiguation conflicts); returns are predicted perfectly (RAS).
 
-    Energy is accounted per structure with the active-byte count decided
-    by the {!Ogc_gating.Policy}: opcode widths for software gating,
-    per-value significance for the hardware schemes. *)
+    The model is split in two layers.  {!run} replays the program once
+    and counts, besides the timing outcome, the activity of every energy
+    structure ({!Ogc_energy.Activity}); it knows nothing of gating.
+    {!price} turns that activity into per-structure energy under one
+    {!Ogc_gating.Policy} (opcode widths for software gating, per-value
+    significance for the hardware schemes), a memory mode and a set of
+    energy parameters.  One run prices under any number of policies;
+    {!simulate} is the two in sequence. *)
 
 open Ogc_isa
 open Ogc_ir
 
-(** How narrow values are kept in the data cache (paper §2.4): with two
-    size-tag bits per value (the paper's choice, more energy benefit), or
-    sign-extended to full width at the cache boundary (no cache-side
-    gating, no tag overhead). *)
-type memory_mode = Tagged | Sign_extend
+(** How narrow values are kept in the data cache (paper §2.4); see
+    {!Ogc_energy.Activity.memory_mode}. *)
+type memory_mode = Ogc_energy.Activity.memory_mode = Tagged | Sign_extend
 
 type stats = {
   cycles : int;
@@ -47,6 +50,40 @@ type stats = {
   checksum : int64;  (** from the functional run, for cross-checking *)
 }
 
+type run
+(** One simulated run: the timing outcome and the activity counts, not
+    yet priced. *)
+
+val run :
+  ?machine:Machine_config.t ->
+  ?interp_config:Interp.config ->
+  ?spill_bytes_of:(int -> int option) ->
+  Prog.t ->
+  run
+(** Simulate the program once.  Recorded as a ["simulate"] span.
+
+    [spill_bytes_of iid] identifies register-allocator spill
+    loads/stores by instruction id and returns their slot width in
+    bytes.  A spill access moves at most that many bytes under every
+    policy (the allocator proved the value fits), and its bytes are
+    additionally recorded in the account's
+    {!Ogc_energy.Account.spill_traffic} counter.  Defaults to
+    [fun _ -> None] (no instruction is a spill). *)
+
+val activity : run -> Ogc_energy.Activity.t
+val instructions : run -> int
+val checksum : run -> int64
+
+val price :
+  ?params:Ogc_energy.Energy_params.t ->
+  ?memory_mode:memory_mode ->
+  policy:Ogc_gating.Policy.t ->
+  run ->
+  stats
+(** The run's stats with its energy priced under [policy] (see
+    {!Ogc_energy.Activity.price}; [memory_mode] defaults to [Tagged]).
+    Every other field is the run's own, whatever the policy. *)
+
 val simulate :
   ?machine:Machine_config.t ->
   ?params:Ogc_energy.Energy_params.t ->
@@ -56,15 +93,19 @@ val simulate :
   policy:Ogc_gating.Policy.t ->
   Prog.t ->
   stats
-(** [memory_mode] defaults to [Tagged].
+(** [price ~policy (run p)], passing each option to the layer it
+    belongs to.  To price one program under several policies, call
+    {!run} once and {!price} per policy. *)
 
-    [spill_bytes_of iid] identifies register-allocator spill
-    loads/stores by instruction id and returns their slot width in
-    bytes.  A spill access moves exactly that many bytes regardless of
-    policy (the allocator proved the value fits), and its bytes are
-    additionally recorded in the account's
-    {!Ogc_energy.Account.spill_traffic} counter.  Defaults to
-    [fun _ -> None] (no instruction is a spill). *)
+val simulate_per_policy :
+  ?machine:Machine_config.t ->
+  ?params:Ogc_energy.Energy_params.t ->
+  ?interp_config:Interp.config ->
+  ?memory_mode:memory_mode ->
+  ?spill_bytes_of:(int -> int option) ->
+  policy:Ogc_gating.Policy.t ->
+  Prog.t ->
+  stats
 
 (** [ipc stats] = instructions / cycles. *)
 val ipc : stats -> float

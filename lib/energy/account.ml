@@ -1,19 +1,4 @@
-let structure_index (s : Energy_params.structure) =
-  match s with
-  | Energy_params.Rename -> 0
-  | Energy_params.Bpred -> 1
-  | Energy_params.Iq -> 2
-  | Energy_params.Rob -> 3
-  | Energy_params.Rename_buffers -> 4
-  | Energy_params.Lsq -> 5
-  | Energy_params.Regfile -> 6
-  | Energy_params.Icache -> 7
-  | Energy_params.Dcache1 -> 8
-  | Energy_params.Dcache2 -> 9
-  | Energy_params.Alu -> 10
-  | Energy_params.Muldiv -> 11
-  | Energy_params.Resultbus -> 12
-  | Energy_params.Clock -> 13
+let structure_index = Energy_params.index
 
 type t = {
   p : Energy_params.t;
@@ -27,7 +12,7 @@ type t = {
          charged to Lsq/Dcache1 like any other memory op. *)
 }
 
-let nstructures = List.length Energy_params.all_structures
+let nstructures = Energy_params.count
 
 let create p =
   let table = Array.make (nstructures * 8) 0.0 in

@@ -18,6 +18,24 @@ let all_structures =
   [ Rename; Bpred; Iq; Rob; Rename_buffers; Lsq; Regfile; Icache; Dcache1;
     Dcache2; Alu; Muldiv; Resultbus; Clock ]
 
+let index = function
+  | Rename -> 0
+  | Bpred -> 1
+  | Iq -> 2
+  | Rob -> 3
+  | Rename_buffers -> 4
+  | Lsq -> 5
+  | Regfile -> 6
+  | Icache -> 7
+  | Dcache1 -> 8
+  | Dcache2 -> 9
+  | Alu -> 10
+  | Muldiv -> 11
+  | Resultbus -> 12
+  | Clock -> 13
+
+let count = List.length all_structures
+
 let structure_name = function
   | Rename -> "Rename"
   | Bpred -> "Branch Predictor"

@@ -35,6 +35,12 @@ type structure =
 val all_structures : structure list
 val structure_name : structure -> string
 
+val index : structure -> int
+(** Position of a structure in {!all_structures}: [0 .. count - 1]. *)
+
+val count : int
+(** Number of structures. *)
+
 type t = {
   base : structure -> float;  (** nJ per access (per cycle for [Clock]) *)
   width_fraction : structure -> float;

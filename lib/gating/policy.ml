@@ -32,6 +32,15 @@ let active_bytes policy ~width ~value =
     min (Width.bytes width)
       (Sigbytes.size_class (Sigbytes.significant_bytes value))
 
+let active_bytes_of_significance policy ~width ~significant =
+  match policy with
+  | No_gating -> 8
+  | Software -> Width.bytes width
+  | Hw_significance -> significant
+  | Hw_size -> Sigbytes.size_class significant
+  | Sw_plus_significance -> min (Width.bytes width) significant
+  | Sw_plus_size -> min (Width.bytes width) (Sigbytes.size_class significant)
+
 let tag_bits = function
   | No_gating | Software -> 0
   | Hw_significance -> Sigbytes.significance_tag_bits

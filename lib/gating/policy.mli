@@ -24,6 +24,15 @@ val name : t -> string
     instruction encoded at [width]. *)
 val active_bytes : t -> width:Width.t -> value:int64 -> int
 
+(** [active_bytes_of_significance policy ~width ~significant] is
+    {!active_bytes} for any value with [significant] significant bytes
+    (see {!Sigbytes.significant_bytes}).  Every policy sees a value only
+    through that count, and the result never decreases as it grows: so
+    the widest of several operands prices a multi-operand access, and
+    activity recorded as (width, significant bytes) counts is enough to
+    price a run under any policy. *)
+val active_bytes_of_significance : t -> width:Width.t -> significant:int -> int
+
 (** Tag storage overhead in bits per 64-bit word carried through the
     pipeline ([0] for ungated and software-only policies — the opcode
     carries the width). *)

@@ -1,17 +1,17 @@
+(* A plain loop rather than a local recursive function: this runs three
+   times per simulated instruction, and the closure would allocate. *)
 let significant_bytes v =
-  let rec go k =
-    if k >= 8 then 8
-    else
-      let shift = k * 8 in
-      let sext =
-        Int64.shift_right (Int64.shift_left v (64 - shift)) (64 - shift)
-      in
-      let zext =
-        Int64.shift_right_logical (Int64.shift_left v (64 - shift)) (64 - shift)
-      in
-      if Int64.equal sext v || Int64.equal zext v then k else go (k + 1)
-  in
-  go 1
+  let k = ref 1 in
+  let found = ref false in
+  while (not !found) && !k < 8 do
+    let shift = 64 - (!k * 8) in
+    let high = Int64.shift_left v shift in
+    if Int64.equal (Int64.shift_right high shift) v
+       || Int64.equal (Int64.shift_right_logical high shift) v
+    then found := true
+    else incr k
+  done;
+  !k
 
 let size_class k =
   if k <= 1 then 1

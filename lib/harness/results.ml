@@ -96,6 +96,8 @@ type t = {
   analyze : (string * analyze_bench) list;
   fleet : fleet_bench option;
   quick : bool;
+  simulations : int;
+  sim_instructions : int;
 }
 
 exception Semantics_changed of string
@@ -157,7 +159,7 @@ type base_info = {
   b_spill_slots : int;  (** width-aware spill-slot bytes, whole program *)
   b_spill_naive : int;  (** the same slots at a uniform 8 bytes *)
   b_spill_fn : int -> int option;
-      (** iid → spill slot bytes, for {!Pipeline.simulate}'s
+      (** iid → spill slot bytes, for {!Pipeline.run}'s
           [spill_bytes_of]; valid on every binary version because passes
           preserve instruction ids *)
 }
@@ -184,7 +186,17 @@ let collect_timed ?(quick = false) ?only ?(progress = fun _ -> ()) ?jobs () =
   let eval_input = if quick then Workload.Train else Workload.Ref in
   let costs = if quick then [ 50 ] else vrs_costs in
   let anchor_label = if List.mem 50 costs then 50 else List.hd costs in
-  let sim = Pipeline.simulate in
+  (* Each program version is simulated once and priced under every
+     policy reported for it; the counters make that checkable. *)
+  let simulations = Atomic.make 0 in
+  let sim_instructions = Atomic.make 0 in
+  let run ~spill_bytes_of p =
+    let r = Pipeline.run ~spill_bytes_of p in
+    Atomic.incr simulations;
+    ignore (Atomic.fetch_and_add sim_instructions (Pipeline.instructions r));
+    r
+  in
+  let price = Pipeline.price in
   (* The caller's progress callback is not required to be thread-safe;
      serialize it. *)
   let progress_mutex = Mutex.create () in
@@ -234,15 +246,15 @@ let collect_timed ?(quick = false) ?only ?(progress = fun _ -> ()) ?jobs () =
         let st, _ = Pass.run ~store "cleanup" base in
         let base = st.Pass.prog in
         let reference = Interp.run base in
+        let r = run ~spill_bytes_of:spill_fn base in
         {
           bw = w;
           pristine;
           store;
           ref_checksum = reference.Interp.checksum;
-          b_none = sim ~spill_bytes_of:spill_fn ~policy:Policy.No_gating base;
-          b_hwsig =
-            sim ~spill_bytes_of:spill_fn ~policy:Policy.Hw_significance base;
-          b_hwsize = sim ~spill_bytes_of:spill_fn ~policy:Policy.Hw_size base;
+          b_none = price ~policy:Policy.No_gating r;
+          b_hwsig = price ~policy:Policy.Hw_significance r;
+          b_hwsize = price ~policy:Policy.Hw_size r;
           b_static = Prog.num_static_ins base;
           b_spill_slots = Regalloc.spill_slots_bytes alloc;
           b_spill_naive = Regalloc.spill_slots_naive_bytes alloc;
@@ -271,24 +283,24 @@ let collect_timed ?(quick = false) ?only ?(progress = fun _ -> ()) ?jobs () =
   in
   let run_cell (bi, v) =
     let wname = bi.bw.Workload.name in
-    let sim ~policy p = sim ~spill_bytes_of:bi.b_spill_fn ~policy p in
+    let run p = run ~spill_bytes_of:bi.b_spill_fn p in
     match v with
     | V_vrp ->
       let st =
         run_pass_chain bi eval_input "cleanup,vrp,encode-widths,cleanup"
       in
-      let p = st.Pass.prog in
-      let vrp_sw = sim ~policy:Policy.Software p in
+      let r = run st.Pass.prog in
+      let vrp_sw = price ~policy:Policy.Software r in
       check_checksum wname bi.ref_checksum vrp_sw "VRP";
-      let vrp_sig = sim ~policy:Policy.Sw_plus_significance p in
-      let vrp_size = sim ~policy:Policy.Sw_plus_size p in
+      let vrp_sig = price ~policy:Policy.Sw_plus_significance r in
+      let vrp_size = price ~policy:Policy.Sw_plus_size r in
       R_vrp (vrp_sw, vrp_sig, vrp_size)
     | V_vrp_conv ->
       let st =
         run_pass_chain bi eval_input
           "cleanup,vrp:variant=conventional,encode-widths,cleanup"
       in
-      let s = sim ~policy:Policy.Software st.Pass.prog in
+      let s = price ~policy:Policy.Software (run st.Pass.prog) in
       check_checksum wname bi.ref_checksum s "conventional VRP";
       R_vrp_conv s
     | V_vrs label ->
@@ -302,13 +314,14 @@ let collect_timed ?(quick = false) ?only ?(progress = fun _ -> ()) ?jobs () =
         match st.Pass.report with Some r -> r | None -> assert false
       in
       Workload.set_scale p eval_input;
-      let stats = sim ~policy:Policy.Software p in
+      let r = run p in
+      let stats = price ~policy:Policy.Software r in
       check_checksum wname bi.ref_checksum stats
         (Printf.sprintf "VRS %d" label);
       let anchor =
         if label = anchor_label then begin
-          let vrs_sig = sim ~policy:Policy.Sw_plus_significance p in
-          let vrs_size = sim ~policy:Policy.Sw_plus_size p in
+          let vrs_sig = price ~policy:Policy.Sw_plus_significance r in
+          let vrs_size = price ~policy:Policy.Sw_plus_size r in
           let spec_frac, guard_frac = runtime_specialization p rep eval_input in
           Some (vrs_sig, vrs_size, spec_frac, guard_frac)
         end
@@ -416,7 +429,14 @@ let collect_timed ?(quick = false) ?only ?(progress = fun _ -> ()) ?jobs () =
         })
       base_infos
   in
-  ( { workloads; analyze; fleet = None; quick },
+  ( {
+      workloads;
+      analyze;
+      fleet = None;
+      quick;
+      simulations = Atomic.get simulations;
+      sim_instructions = Atomic.get sim_instructions;
+    },
     [ ("baselines", ph1_s); ("analyses", ph_an_s); ("versions", ph3_s);
       ("analyze-bench", ph4_s) ] )
 
@@ -717,6 +737,8 @@ let to_json t =
        ("quick", Json.Bool t.quick);
        ("workloads", Json.Arr (List.map wres_to_json t.workloads));
        ("analyze", Json.Arr (List.map analyze_to_json t.analyze));
+       ("simulations", Json.Int t.simulations);
+       ("sim_instructions", Json.Int t.sim_instructions);
      ]
     @
     match t.fleet with
@@ -732,6 +754,12 @@ let of_json j =
   | v ->
     raise
       (Json.Parse_error (Printf.sprintf "unsupported results version %d" v)));
+  let opt_int k =
+    match Json.member k j with
+    | Json.Null -> 0
+    | Json.Int i -> i
+    | _ -> raise (Json.Parse_error (Printf.sprintf "%s: expected an int" k))
+  in
   {
     quick = Json.get_bool "quick" j;
     workloads = List.map wres_of_json (Json.get_list "workloads" j);
@@ -746,6 +774,10 @@ let of_json j =
       (match Json.member "fleet" j with
       | Json.Null -> None
       | fj -> Some (fleet_of_json fj));
+    (* Absent (0: not recorded) in files written before the work
+       counters. *)
+    simulations = opt_int "simulations";
+    sim_instructions = opt_int "sim_instructions";
   }
 
 (* --- regression comparison --------------------------------------------------- *)
@@ -899,6 +931,37 @@ let compare_to_baseline ~time_tolerance ~baseline ~current ~threshold =
             (float_of_int ca.ab_visits)
           @ cell "analyze_seconds" time_tolerance ba.ab_seconds ca.ab_seconds)
       current.analyze
+    @ (* Simulation work counters are deterministic and gated exactly,
+         in both directions: a change in how often the grid simulates is
+         a change to bless, not noise.  They compare only when both
+         collections cover the same workloads and the baseline recorded
+         them. *)
+    (if
+       baseline.simulations > 0
+       && List.map (fun w -> w.wname) baseline.workloads
+          = List.map (fun w -> w.wname) current.workloads
+     then
+       List.filter_map
+         (fun (metric, base, cur) ->
+           if base = cur then None
+           else
+             Some
+               {
+                 r_workload = "*";
+                 r_config = "work";
+                 r_metric = metric;
+                 r_baseline = float_of_int base;
+                 r_current = float_of_int cur;
+                 r_delta_frac =
+                   Float.abs (float_of_int (cur - base)) /. float_of_int base;
+               })
+         [
+           ("simulations", baseline.simulations, current.simulations);
+           ( "sim_instructions",
+             baseline.sim_instructions,
+             current.sim_instructions );
+         ]
+     else [])
     @ (* Fleet series: failed submissions are gated exactly (any failed
          request regresses the zero-failure criterion); client-observed
          latency percentiles are wall time and get the loose tolerance.

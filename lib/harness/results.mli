@@ -116,6 +116,11 @@ type t = {
   analyze : (string * analyze_bench) list;  (** by workload name *)
   fleet : fleet_bench option;  (** populated by the bench driver *)
   quick : bool;
+  simulations : int;
+      (** {!Pipeline.run} calls the collection made: one per program
+          version, priced under every policy reported for it (0 when
+          read from a file that predates the counter) *)
+  sim_instructions : int;  (** dynamic instructions over those runs *)
 }
 
 val collect :
@@ -199,7 +204,10 @@ val compare_to_baseline :
     8-byte slots loses that property.  The fleet series, when both
     collections carry comparable runs (same shard and request counts),
     gates failed submissions exactly — any increase regresses — and the
-    p50/p95 latencies against [time_tolerance]. *)
+    p50/p95 latencies against [time_tolerance].  The work counters
+    [simulations] and [sim_instructions] are gated exactly (any change
+    regresses) when the baseline recorded them and both collections
+    cover the same workloads. *)
 
 val render_regressions : regression list -> string
 

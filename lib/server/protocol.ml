@@ -323,7 +323,7 @@ let dynamic_widths stats =
     (fun (w, frac) -> (Ogc_isa.Width.to_string w, J.Float frac))
     (Results.width_distribution stats)
 
-let analyze ?store ?wire req =
+let analyze ?store ?wire ?baselines req =
   (* The spans must never influence the payload: with tracing on or off,
      with a cold or warm store, the same request yields byte-identical
      JSON (tested). *)
@@ -332,14 +332,27 @@ let analyze ?store ?wire req =
       ~args:[ ("pass", J.Str (pass_name req.pass)) ]
       (fun () -> build ?store ?wire req)
   in
-  let opt_stats = Pipeline.simulate ~policy:req.policy p in
-  let base_stats = Pipeline.simulate ~policy:Policy.No_gating base in
-  if not (Int64.equal opt_stats.Pipeline.checksum base_stats.Pipeline.checksum)
+  (* The ungated baseline is one run of the untransformed program,
+     shared by every variant of it; with no pass, it is also the
+     optimized run, priced twice. *)
+  let base_run =
+    let run () = Pipeline.run base in
+    match baselines with
+    | None -> run ()
+    | Some b ->
+      Baselines.find_or_run b (route_key req ^ "/" ^ input_name req.input) run
+  in
+  let opt_run =
+    match req.pass with P_none -> base_run | P_vrp | P_vrs -> Pipeline.run p
+  in
+  if not (Int64.equal (Pipeline.checksum opt_run) (Pipeline.checksum base_run))
   then
     Fmt.failwith
       "optimization changed the program's output (%Ld <> %Ld)"
-      opt_stats.Pipeline.checksum base_stats.Pipeline.checksum;
+      (Pipeline.checksum opt_run) (Pipeline.checksum base_run);
   Span.with_ ~name:"energy" @@ fun () ->
+  let opt_stats = Pipeline.price ~policy:req.policy opt_run in
+  let base_stats = Pipeline.price ~policy:Policy.No_gating base_run in
   let energy = Account.total opt_stats.Pipeline.energy in
   let base_energy = Account.total base_stats.Pipeline.energy in
   let ipc = Pipeline.ipc opt_stats and base_ipc = Pipeline.ipc base_stats in

@@ -108,6 +108,7 @@ val route_key : request -> string
 val analyze :
   ?store:Ogc_pass.Pass.Store.t ->
   ?wire:Ogc_pass.Profile.t ->
+  ?baselines:Baselines.t ->
   request ->
   Ogc_json.Json.t
 (** Run the requested pass chain and simulation; the cacheable result
@@ -118,6 +119,11 @@ val analyze :
     byte-identical results, warm or cold.  [wire] is the program's
     accumulated streamed profile: a VRS request then consumes the
     client's observations in place of its training interpreter runs and
-    grows a [zspec] (zero-specialization) tail on its chain.  Raises
+    grows a [zspec] (zero-specialization) tail on its chain.  Each
+    program version is simulated once ({!Ogc_cpu.Pipeline.run}) and
+    priced inside the ["energy"] span: a request without a pass runs its
+    program once and prices it twice, and [baselines] memoizes the
+    ungated baseline's run per ({!route_key}, input), so every variant
+    of one program shares it.  Raises
     [Parse_error] on bad programs and [Failure] when an optimization
     changes the program's output. *)

@@ -72,6 +72,9 @@ type t = {
          (VRP fixpoint, training profiles) computed by earlier requests *)
   profiles : Profile_store.t;
       (* accumulated execution profiles, one per program (route_key) *)
+  baselines : Baselines.t;
+      (* the ungated baseline run per (program, input), shared by every
+         variant of a program *)
   pending : int Atomic.t;  (* analyses queued or running *)
   stopping : bool Atomic.t;
   started : float;
@@ -149,6 +152,7 @@ let create cfg =
     cache = Cache.create ~capacity:cfg.cache_capacity ?dir:cache_dir ();
     passes = Ogc_pass.Pass.Store.create ~capacity:cfg.cache_capacity ();
     profiles = Profile_store.create ~capacity:cfg.cache_capacity ();
+    baselines = Baselines.create ~capacity:cfg.cache_capacity ();
     pending = Atomic.make 0;
     stopping = Atomic.make false;
     started = Unix.gettimeofday ();
@@ -245,6 +249,12 @@ let stats_json t =
                        | Some r -> [ ("replica", J.Int r) ]
                        | None -> []) ))
                  (Ogc_pass.Pass.Store.pass_stats t.passes))) ]);
+      ("baselines",
+       (let entries, hits, misses = Baselines.stats t.baselines in
+        J.Obj
+          [ ("entries", J.Int entries);
+            ("hits", J.Int hits);
+            ("misses", J.Int misses) ]));
       ("replication",
        J.Obj
          [ ("fetches", J.Int fetches);
@@ -343,7 +353,7 @@ let schedule_respec t ~(req : Protocol.request) ~rkey ~wire ~epoch ~key
                      ~args:[ ("epoch", J.Int epoch) ]
                      (fun () ->
                        J.to_string ~indent:false
-                         (Protocol.analyze ~store:t.passes ?wire req))
+                         (Protocol.analyze ~store:t.passes ~baselines:t.baselines ?wire req))
                  in
                  Cache.store t.cache key payload;
                  locked t (fun () ->
@@ -493,7 +503,7 @@ let handle_analyze t ~t0 ~fi (req : Protocol.request) =
               ~args:[ ("pass", J.Str (Protocol.pass_name req.Protocol.pass)) ]
               (fun () ->
                 J.to_string ~indent:false
-                  (Protocol.analyze ~store:t.passes ?wire req)))
+                  (Protocol.analyze ~store:t.passes ~baselines:t.baselines ?wire req)))
       in
       let outcome =
         match Pool.await ticket with

@@ -17,7 +17,10 @@
     earlier one — say the same program at a different VRS cost — reuses
     the stored VRP fixpoint and training/value profiles instead of
     recomputing them ([stats] reports per-pass hit/miss counts under
-    ["passes"]).
+    ["passes"]).  Beside it, the ungated baseline every result is
+    compared against is simulated once per (program, input) and shared
+    by all variants of the program ({!Baselines}; ["baselines"] in
+    [stats]).
 
     {b Online specialization.}  The [profile] op lets clients stream
     back what they observed running a program (block counts, TNV value
@@ -112,7 +115,8 @@ val install_sigusr1 : unit -> unit
 val stats_json : t -> Ogc_json.Json.t
 (** The same counters the ["stats"] op reports: requests, cache
     hit/miss/eviction counts and byte footprint (both tiers), per-pass
-    artifact-store hit/miss counts (["passes"]), latency percentiles
+    artifact-store hit/miss counts (["passes"]), baseline-run memo
+    entries and hit/miss counts (["baselines"]), latency percentiles
     plus per-op latency histograms (from {!Ogc_obs.Metrics}; all-zero
     unless metrics are enabled), pool utilization. *)
 

@@ -144,6 +144,76 @@ let prop_policy_bounds =
           b >= 1 && b <= 8)
         Policy.all)
 
+(* Values spread over every significant-byte count: random bits
+   sign- or zero-extended from a random number of low bytes. *)
+let spread_int64 =
+  let gen =
+    QCheck.Gen.(
+      map3
+        (fun k bits zero ->
+          if k = 8 then bits
+          else
+            let shift = 64 - (8 * k) in
+            let high = Int64.shift_left bits shift in
+            if zero then Int64.shift_right_logical high shift
+            else Int64.shift_right high shift)
+        (int_range 1 8) ui64 bool)
+  in
+  QCheck.make ~print:Int64.to_string gen
+
+(* What lets one simulated run price every policy: a policy sees a
+   value only through its significant bytes, and never charges fewer
+   bytes for more of them, so the widest operand prices an access. *)
+let prop_active_bytes_through_significance =
+  QCheck.Test.make
+    ~name:"active bytes depend on the value only via its significance"
+    ~count:3000
+    QCheck.(pair spread_int64 (oneofl Width.all))
+    (fun (v, width) ->
+      let significant = Sigbytes.significant_bytes v in
+      List.for_all
+        (fun p ->
+          Policy.active_bytes p ~width ~value:v
+          = Policy.active_bytes_of_significance p ~width ~significant)
+        Policy.all)
+
+let prop_active_bytes_monotone =
+  QCheck.Test.make ~name:"active bytes never drop as significance grows"
+    ~count:3000
+    QCheck.(triple spread_int64 spread_int64 (oneofl Width.all))
+    (fun (u, v, width) ->
+      let u, v =
+        if Sigbytes.significant_bytes u <= Sigbytes.significant_bytes v then
+          (u, v)
+        else (v, u)
+      in
+      List.for_all
+        (fun p ->
+          Policy.active_bytes p ~width ~value:u
+          <= Policy.active_bytes p ~width ~value:v)
+        Policy.all)
+
+let test_monotone_exhaustive () =
+  List.iter
+    (fun p ->
+      List.iter
+        (fun width ->
+          for k = 1 to 7 do
+            let at k = Policy.active_bytes_of_significance p ~width ~significant:k in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s %s: %d -> %d bytes" (Policy.name p)
+                 (Width.to_string width) k (k + 1))
+              true
+              (at k <= at (k + 1))
+          done)
+        Width.all)
+    Policy.all
+
+let test_size_class_pinned () =
+  Alcotest.(check (list int))
+    "size_class 1..8" [ 1; 2; 5; 5; 5; 8; 8; 8 ]
+    (List.init 8 (fun i -> Sigbytes.size_class (i + 1)))
+
 let () =
   Alcotest.run "gating"
     [
@@ -153,10 +223,14 @@ let () =
           Alcotest.test_case "size classes" `Quick test_size_class;
           Alcotest.test_case "policies" `Quick test_policies;
           Alcotest.test_case "tags" `Quick test_tags;
+          Alcotest.test_case "size classes on 1..8" `Quick test_size_class_pinned;
+          Alcotest.test_case "active bytes monotone in significance" `Quick
+            test_monotone_exhaustive;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_sigbytes_roundtrip; prop_sigbytes_minimal; prop_policy_bounds ]
+          [ prop_sigbytes_roundtrip; prop_sigbytes_minimal; prop_policy_bounds;
+            prop_active_bytes_through_significance; prop_active_bytes_monotone ]
       );
       ( "savings",
         List.map QCheck_alcotest.to_alcotest
