@@ -658,14 +658,17 @@ let bench_tests =
         Vrp.apply vrp_res p);
     (* Figure 8: the full VRS pipeline on the small program. *)
     t "fig8/vrs-pipeline" (fun () -> Vrs.run (small_prog ()));
-    (* Figure 9: per-structure energy accounting. *)
+    (* Figure 9: per-structure energy accounting (activity, then
+       pricing). *)
     t "fig9/energy-account" (fun () ->
-        let a = Ogc_energy.Account.create Ogc_energy.Energy_params.default in
+        let module Activity = Ogc_energy.Activity in
+        let a = Activity.create () in
         for i = 0 to 999 do
-          Ogc_energy.Account.charge a Ogc_energy.Energy_params.Alu
-            ~active_bytes:(1 + (i land 7)) ~tag_bits:0
+          Activity.access a Ogc_energy.Energy_params.Alu
+            (Activity.cell Ogc_isa.Width.W64 (1 + (i land 7)))
         done;
-        Ogc_energy.Account.by_structure a);
+        Ogc_energy.Account.by_structure
+          (Activity.price ~policy:Policy.Hw_significance a));
     (* Figure 10: the out-of-order timing model (ungated). *)
     t "fig10/simulate-timing" (fun () ->
         Ogc_cpu.Pipeline.simulate ~policy:Policy.No_gating prog);

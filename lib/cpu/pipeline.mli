@@ -70,7 +70,6 @@ val run :
     {!Ogc_energy.Account.spill_traffic} counter.  Defaults to
     [fun _ -> None] (no instruction is a spill). *)
 
-val activity : run -> Ogc_energy.Activity.t
 val instructions : run -> int
 val checksum : run -> int64
 
@@ -96,16 +95,6 @@ val simulate :
 (** [price ~policy (run p)], passing each option to the layer it
     belongs to.  To price one program under several policies, call
     {!run} once and {!price} per policy. *)
-
-val simulate_per_policy :
-  ?machine:Machine_config.t ->
-  ?params:Ogc_energy.Energy_params.t ->
-  ?interp_config:Interp.config ->
-  ?memory_mode:memory_mode ->
-  ?spill_bytes_of:(int -> int option) ->
-  policy:Ogc_gating.Policy.t ->
-  Prog.t ->
-  stats
 
 (** [ipc stats] = instructions / cycles. *)
 val ipc : stats -> float

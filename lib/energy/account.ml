@@ -1,55 +1,20 @@
-let structure_index = Energy_params.index
-
 type t = {
   p : Energy_params.t;
-  acc : float array;
-  (* Precomputed per-access energies: [table.(structure * 8 + bytes - 1)]
-     at zero tag bits; tags add [tag_bit_nj] per bit. *)
-  table : float array;
-  mutable spill : float;
+  acc : float array;  (* nJ per structure, by [Energy_params.index] *)
+  spill : float;
       (* Bytes moved by register-allocator spill loads/stores; a traffic
          counter, not an energy term — the accesses themselves are
-         charged to Lsq/Dcache1 like any other memory op. *)
+         priced into Lsq/Dcache1 like any other memory op. *)
 }
 
-let nstructures = Energy_params.count
-
-let create p =
-  let table = Array.make (nstructures * 8) 0.0 in
-  List.iter
-    (fun s ->
-      let i = structure_index s in
-      for bytes = 1 to 8 do
-        table.((i * 8) + bytes - 1) <-
-          Energy_params.access_energy p s ~active_bytes:bytes ~tag_bits:0
-      done)
-    Energy_params.all_structures;
-  { p; acc = Array.make nstructures 0.0; table; spill = 0.0 }
+let of_values ?(params = Energy_params.default) ?(spill = 0.0) values =
+  let acc = Array.make Energy_params.count 0.0 in
+  List.iter (fun (s, e) -> acc.(Energy_params.index s) <- e) values;
+  { p = params; acc; spill }
 
 let params t = t.p
-
-let charge t s ~active_bytes ~tag_bits =
-  let i = structure_index s in
-  let b = if active_bytes < 1 then 1 else if active_bytes > 8 then 8 else active_bytes in
-  t.acc.(i) <-
-    t.acc.(i)
-    +. t.table.((i * 8) + b - 1)
-    +. (float_of_int tag_bits *. t.p.Energy_params.tag_bit_nj)
-
-let charge_fixed t s n =
-  let i = structure_index s in
-  t.acc.(i) <- t.acc.(i) +. (float_of_int n *. t.table.((i * 8) + 7))
-
-let charge_spill t bytes = t.spill <- t.spill +. float_of_int bytes
 let spill_traffic t = t.spill
-
-let of_values ?(params = Energy_params.default) ?(spill = 0.0) values =
-  let t = create params in
-  List.iter (fun (s, e) -> t.acc.(structure_index s) <- e) values;
-  t.spill <- spill;
-  t
-
-let energy_of t s = t.acc.(structure_index s)
+let energy_of t s = t.acc.(Energy_params.index s)
 
 let total t = Array.fold_left ( +. ) 0.0 t.acc
 

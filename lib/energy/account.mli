@@ -1,36 +1,27 @@
-(** Energy accounting: per-structure accumulation and derived metrics. *)
+(** Energy accounting: per-structure totals of one priced run, and
+    derived metrics.  Built by {!Activity.price} (or rebuilt from
+    serialized results by {!of_values}); immutable. *)
 
 type t
 
-val create : Energy_params.t -> t
 val params : t -> Energy_params.t
 
-(** [charge t s ~active_bytes ~tag_bits] adds one access. *)
-val charge : t -> Energy_params.structure -> active_bytes:int -> tag_bits:int -> unit
-
-(** [charge_fixed t s n] adds [n] accesses with no width scaling (full
-    width, no tags). *)
-val charge_fixed : t -> Energy_params.structure -> int -> unit
-
-(** [charge_spill t bytes] records one register-allocator spill access
-    moving [bytes] bytes.  A traffic counter, not an energy term: the
-    access itself is still charged to the memory structures through
-    {!charge}. *)
-val charge_spill : t -> int -> unit
-
 val spill_traffic : t -> float
-(** Total bytes moved by spill loads/stores recorded with
-    {!charge_spill}. *)
+(** Total bytes moved by register-allocator spill loads/stores (a
+    traffic counter, not an energy term: the accesses themselves are
+    priced into the memory structures like any other).  See
+    {!Activity.spill}. *)
 
 val of_values :
   ?params:Energy_params.t ->
   ?spill:float ->
   (Energy_params.structure * float) list ->
   t
-(** An account holding the given per-structure totals, as if they had
-    been accumulated through {!charge}.  Used to rebuild accounts from
-    serialized results; [params] defaults to {!Energy_params.default}
-    and [spill] (bytes, see {!spill_traffic}) to 0. *)
+(** An account holding the given per-structure totals (structures not
+    listed hold 0).  {!Activity.price} builds every account this way, and
+    serialized results are rebuilt with it; [params] defaults to
+    {!Energy_params.default} and [spill] (bytes, see {!spill_traffic})
+    to 0. *)
 
 val energy_of : t -> Energy_params.structure -> float
 (** Accumulated nJ in one structure. *)

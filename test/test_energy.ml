@@ -34,24 +34,27 @@ let test_tag_overhead () =
     (abs_float (e7 -. e0 -. (7.0 *. Ep.default.Ep.tag_bit_nj)) < 1e-9)
 
 let test_account () =
-  let a = Account.create Ep.default in
-  Alcotest.(check (float 1e-9)) "starts at zero" 0.0 (Account.total a);
-  Account.charge a Ep.Alu ~active_bytes:8 ~tag_bits:0;
-  let full = Account.energy_of a Ep.Alu in
-  Account.charge a Ep.Alu ~active_bytes:1 ~tag_bits:0;
-  let delta = Account.energy_of a Ep.Alu -. full in
+  let module Activity = Ogc_energy.Activity in
+  let price a = Activity.price ~policy:Ogc_gating.Policy.Hw_significance a in
+  let a = Activity.create () in
+  Alcotest.(check (float 1e-9)) "starts at zero" 0.0 (Account.total (price a));
+  Activity.access a Ep.Alu (Activity.cell Width.W64 8);
+  let full = Account.energy_of (price a) Ep.Alu in
+  Activity.access a Ep.Alu (Activity.cell Width.W64 1);
+  let delta = Account.energy_of (price a) Ep.Alu -. full in
   Alcotest.(check bool) "narrow access cheaper" true (delta < full);
-  Account.charge_fixed a Ep.Clock 10;
+  Activity.fixed a Ep.Clock 10;
   Alcotest.(check bool) "clock accounted" true
-    (Account.energy_of a Ep.Clock > 0.0);
+    (Account.energy_of (price a) Ep.Clock > 0.0);
   Alcotest.(check int) "by_structure covers all" 14
-    (List.length (Account.by_structure a));
-  (* charge matches the precomputed table *)
-  let b = Account.create Ep.default in
-  Account.charge b Ep.Regfile ~active_bytes:3 ~tag_bits:2;
-  Alcotest.(check (float 1e-9)) "charge = access_energy"
-    (Ep.access_energy Ep.default Ep.Regfile ~active_bytes:3 ~tag_bits:2)
-    (Account.energy_of b Ep.Regfile)
+    (List.length (Account.by_structure (price a)));
+  (* One priced access is one access_energy, tags included (7 bits of
+     significance compression in the register file). *)
+  let b = Activity.create () in
+  Activity.access b Ep.Regfile (Activity.cell Width.W64 3);
+  Alcotest.(check (float 1e-9)) "price = access_energy"
+    (Ep.access_energy Ep.default Ep.Regfile ~active_bytes:3 ~tag_bits:7)
+    (Account.energy_of (price b) Ep.Regfile)
 
 let test_metrics () =
   Alcotest.(check (float 1e-9)) "ed2" 400.0 (Account.ed2 ~energy:4.0 ~cycles:10);

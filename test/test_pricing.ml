@@ -162,68 +162,10 @@ let test_matches_golden () =
   Printf.printf "max relative energy drift vs the per-policy simulator: %.3g\n"
     !max_drift
 
-(* While the per-policy simulator exists: compare live, and with
-   OGC_PRICING_GOLDEN set, freeze its outputs into that file. *)
-let test_matches_per_policy () =
-  let entries =
-    List.map
-      (fun (wname, bname, prog, spill) ->
-        let r = Pipeline.run ~spill_bytes_of:spill prog in
-        let energies =
-          List.map
-            (fun (policy, mname, memory_mode) ->
-              let what =
-                Printf.sprintf "%s/%s/%s" wname bname (combo_key policy mname)
-              in
-              let old =
-                Pipeline.simulate_per_policy ~spill_bytes_of:spill ~memory_mode
-                  ~policy prog
-              in
-              let expected =
-                Json.Obj [ ("ints", ints_to_json old); ("energy", energy_to_json old) ]
-              in
-              check_against what expected (Pipeline.price ~memory_mode ~policy r);
-              (combo_key policy mname, energy_to_json old, ints_to_json old))
-            combos
-        in
-        let ints =
-          match energies with (_, _, i) :: _ -> i | [] -> assert false
-        in
-        List.iter
-          (fun (k, _, i) ->
-            Alcotest.(check string) (wname ^ "/" ^ k ^ ": policy-free ints")
-              (Json.to_string ints) (Json.to_string i))
-          energies;
-        Json.Obj
-          [ ("workload", Json.Str wname);
-            ("binary", Json.Str bname);
-            ("ints", ints);
-            ("energy", Json.Obj (List.map (fun (k, e, _) -> (k, e)) energies)) ])
-      (Lazy.force programs)
-  in
-  Printf.printf "max relative energy drift vs the per-policy simulator: %.3g\n"
-    !max_drift;
-  match Sys.getenv_opt "OGC_PRICING_GOLDEN" with
-  | None -> ()
-  | Some path ->
-    let oc = open_out_bin path in
-    output_string oc
-      (Json.to_string
-         (Json.Obj
-            [ ("format", Json.Str "ogc-pricing-golden");
-              ("input", Json.Str "train");
-              ("programs", Json.Arr entries) ]));
-    output_char oc '\n';
-    close_out oc
-
 let () =
   Alcotest.run "pricing"
     [
       ( "equivalence",
-        (if Sys.file_exists golden_file then
-           [ Alcotest.test_case "run once, price 12 ways = golden" `Quick
-               test_matches_golden ]
-         else [])
-        @ [ Alcotest.test_case "run once, price 12 ways = per-policy" `Quick
-              test_matches_per_policy ] );
+        [ Alcotest.test_case "run once, price 12 ways = per-policy golden"
+            `Quick test_matches_golden ] );
     ]

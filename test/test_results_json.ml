@@ -167,6 +167,44 @@ let test_regression_diff () =
     (List.length regs);
   Alcotest.(check string) "mode cell" "mode" (List.hd regs).Results.r_config
 
+let test_work_counters () =
+  let r = Lazy.force collected in
+  (* Four program versions (baseline, VRP, conventional VRP, VRS-50),
+     each simulated once however many policies price it. *)
+  Alcotest.(check int) "one simulation per version" 4 r.Results.simulations;
+  Alcotest.(check bool) "instructions counted" true
+    (r.Results.sim_instructions > 0);
+  let regs baseline =
+    Results.compare_to_baseline ~time_tolerance:0.5 ~baseline ~current:r
+      ~threshold:0.05
+  in
+  (* Exact in both directions: one run more or fewer regresses. *)
+  List.iter
+    (fun d ->
+      match regs { r with Results.simulations = r.Results.simulations + d } with
+      | [ reg ] ->
+        Alcotest.(check string) "work cell" "work" reg.Results.r_config;
+        Alcotest.(check string) "metric" "simulations" reg.Results.r_metric
+      | regs -> Alcotest.failf "expected one regression, got %d" (List.length regs))
+    [ 1; -1 ];
+  Alcotest.(check int) "one instruction off regresses" 1
+    (List.length
+       (regs { r with Results.sim_instructions = r.Results.sim_instructions - 1 }));
+  (* A baseline written before the counters (0: not recorded) gates
+     nothing. *)
+  let old =
+    match Results.to_json r with
+    | Json.Obj kvs ->
+      Json.Obj
+        (List.filter
+           (fun (k, _) -> k <> "simulations" && k <> "sim_instructions")
+           kvs)
+    | j -> j
+  in
+  let old = Results.of_json (Json.of_string (Json.to_string old)) in
+  Alcotest.(check int) "absent counters read as 0" 0 old.Results.simulations;
+  Alcotest.(check int) "absent counters are not gated" 0 (List.length (regs old))
+
 let test_perturbed_json_baseline () =
   (* End-to-end through the serialized form, as CI uses it: write the
      baseline, reload it, perturb the current run, expect a hit. *)
@@ -201,6 +239,8 @@ let () =
           Alcotest.test_case "parallel = sequential" `Slow
             test_parallel_collection_identical;
           Alcotest.test_case "regression diff" `Slow test_regression_diff;
+          Alcotest.test_case "work counters gated exactly" `Slow
+            test_work_counters;
           Alcotest.test_case "diff through serialized baseline" `Slow
             test_perturbed_json_baseline;
         ] );

@@ -183,6 +183,50 @@ let test_per_pass_artifact_reuse () =
       in
       Alcotest.(check string) "warm store = cold run" cold (result_bytes r2))
 
+let test_baseline_run_shared () =
+  with_server (fun path t ->
+      let baselines () = J.member "baselines" (Server.stats_json t) in
+      let responses =
+        List.map
+          (fun (pass, cost) -> request path (analyze_req ~pass ?cost ()))
+          [ ("none", None); ("vrp", None); ("vrs", Some 50); ("vrs", Some 70) ]
+      in
+      (* One program, one input: the ungated baseline is simulated once
+         and every later variant prices the stored run. *)
+      Alcotest.(check int) "one baseline run" 1
+        (J.get_int "misses" (baselines ()));
+      Alcotest.(check int) "three variants reuse it" 3
+        (J.get_int "hits" (baselines ()));
+      Alcotest.(check int) "one entry" 1 (J.get_int "entries" (baselines ()));
+      (* Memoized or not, the payload is the same bytes. *)
+      List.iter2
+        (fun (pass, cost) resp ->
+          let req =
+            match
+              Ogc_server.Protocol.op_of_json
+                (J.of_string (analyze_req ~pass ?cost ()))
+            with
+            | Ogc_server.Protocol.Analyze r -> r
+            | _ -> Alcotest.fail "not an analyze op"
+          in
+          Alcotest.(check string)
+            (pass ^ ": memoized baseline = fresh run")
+            (J.to_string ~indent:false (Ogc_server.Protocol.analyze req))
+            (result_bytes resp))
+        [ ("none", None); ("vrp", None); ("vrs", Some 50); ("vrs", Some 70) ]
+        responses;
+      (* Another input is another baseline. *)
+      let ref_req =
+        J.to_string ~indent:false
+          (J.Obj
+             [ ("source", J.Str src); ("pass", J.Str "vrp");
+               ("input", J.Str "ref") ])
+      in
+      Alcotest.(check string) "ref input ok" "ok"
+        (field (request path ref_req) "status");
+      Alcotest.(check int) "ref input misses" 2
+        (J.get_int "misses" (baselines ())))
+
 (* --- scheduler ------------------------------------------------------------- *)
 
 let test_deadline_expiry () =
@@ -544,7 +588,9 @@ let () =
            test_cache_disk_persistence;
          Alcotest.test_case "LRU eviction" `Quick test_cache_lru_eviction;
          Alcotest.test_case "per-pass artifact reuse" `Quick
-           test_per_pass_artifact_reuse ]);
+           test_per_pass_artifact_reuse;
+         Alcotest.test_case "baseline run shared by variants" `Quick
+           test_baseline_run_shared ]);
       ("scheduler",
        [ Alcotest.test_case "deadline expiry" `Quick test_deadline_expiry;
          Alcotest.test_case "bounded-queue rejection" `Quick
