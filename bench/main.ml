@@ -19,7 +19,9 @@
      --baseline FILE       diff against a previous --json file and exit 3
                            on regression (skips the micro-benchmarks)
      --max-regression PCT  per-cell energy/IPC tolerance for --baseline
-                           (default 5.0); also gates analyze visit counts
+                           (default 5.0); the deterministic work counters
+                           (VRP visits and rounds, simulations) are
+                           gated exactly whatever PCT is
      --max-time-regression PCT
                            analyze wall-time tolerance for --baseline
                            (default 200.0 — timings are noisy)
@@ -152,7 +154,6 @@ let run_fleet_bench () =
         let t = Server.create cfg in
         (Printf.sprintf "s%d" i, path, t, Thread.create Server.run t))
   in
-  Server.link_stores (List.map (fun (_, _, t, _) -> t) shards);
   let rpath = sock 99 in
   if Sys.file_exists rpath then Sys.remove rpath;
   let targets =

@@ -1084,16 +1084,6 @@ let router_cmd =
                    socket path or HOST:PORT, optionally prefixed \
                    $(i,NAME=).  At least one is required.")
   in
-  let replicas =
-    Arg.(value & opt int 2
-         & info [ "replicas" ] ~docv:"R"
-             ~doc:"Copies of a promoted hot result, primary included.")
-  in
-  let promote_after =
-    Arg.(value & opt int 3
-         & info [ "promote-after" ] ~docv:"N"
-             ~doc:"Result-key hits before replication kicks in.")
-  in
   let hedge_ms =
     Arg.(value & opt (some float) None
          & info [ "hedge-ms" ] ~docv:"MS"
@@ -1143,8 +1133,7 @@ let router_cmd =
                    span slice of its trace) of any request slower than \
                    MS.")
   in
-  let run addr shards replicas promote_after hedge_ms pool_size max_waiters
-      request_timeout quiet log_level trace slow_ms =
+  let run addr shards hedge_ms pool_size max_waiters request_timeout quiet log_level trace slow_ms =
     wrap (fun () ->
         (match log_level with
         | None -> ()
@@ -1162,8 +1151,6 @@ let router_cmd =
         let targets = List.mapi parse_shard shards in
         let cfg =
           { (Router.default_config ~addr ~shards:targets) with
-            replicas;
-            promote_after;
             hedge_ms;
             pool_size;
             max_waiters;
@@ -1181,9 +1168,8 @@ let router_cmd =
   Cmd.v
     (Cmd.info "router"
        ~doc:"Route requests across a fleet of serve shards \
-             (consistent hashing, hedging, hot-key replication)")
-    Term.(const run $ addr_term $ shards $ replicas $ promote_after
-          $ hedge_ms $ pool_size $ max_waiters $ request_timeout $ quiet
+             (consistent hashing, hedging, failover)")
+    Term.(const run $ addr_term $ shards $ hedge_ms $ pool_size $ max_waiters $ request_timeout $ quiet
           $ log_level $ trace $ slow_ms)
 
 let loadgen_cmd =

@@ -41,5 +41,5 @@ val lookup : t -> string -> string
 
 val successors : t -> string -> int -> string list
 (** [successors t key n]: up to [n] {e distinct} shards in ring order
-    starting at the key's owner — the owner first, then the replica
-    candidates.  [n] larger than the shard count returns every shard. *)
+    starting at the key's owner — the owner first, then the failover and
+    hedge candidates.  [n] larger than the shard count returns every shard. *)

@@ -15,8 +15,6 @@ type config = {
   vnodes : int;
   pool_size : int;
   max_waiters : int;
-  replicas : int;
-  promote_after : int;
   hedge_ms : float option;
   connect_timeout_ms : int;
   request_timeout_ms : int;
@@ -28,8 +26,6 @@ let default_config ~addr ~shards =
     vnodes = 128;
     pool_size = 8;
     max_waiters = 64;
-    replicas = 2;
-    promote_after = 3;
     hedge_ms = None;
     connect_timeout_ms = 1000;
     request_timeout_ms = 30_000 }
@@ -176,7 +172,6 @@ type shard = {
   m_requests : Metrics.counter;
   m_hedges : Metrics.counter;
   m_failovers : Metrics.counter;
-  m_puts : Metrics.counter;
   m_seconds : Metrics.histogram;
 }
 
@@ -192,7 +187,7 @@ type t = {
   started : float;
   m : Mutex.t;  (* guards the mutable fields below *)
   mutable conns : Unix.file_descr list;
-  mutable threads : Thread.t list;
+  threads : (int, Thread.t) Hashtbl.t;  (* live connection handlers *)
   mutable requests : int;
   mutable routed : int;
   mutable hedged : int;
@@ -200,9 +195,6 @@ type t = {
   mutable failovers : int;
   mutable errors : int;
   mutable unavailable : int;
-  mutable promotions : int;
-  hits : (string, int) Hashtbl.t;  (* result key -> request count *)
-  promoted : (string, unit) Hashtbl.t;
   latencies : float array;  (* ring of recent request latencies, ms *)
   mutable lat_n : int;
   mutable hedge_threshold : float;  (* seconds *)
@@ -239,9 +231,6 @@ let create cfg =
             m_failovers =
               Metrics.counter "ogc_router_shard_failovers_total"
                 ~labels:[ ("shard", s.t_name) ];
-            m_puts =
-              Metrics.counter "ogc_router_shard_replica_puts_total"
-                ~labels:[ ("shard", s.t_name) ];
             m_seconds =
               Metrics.histogram "ogc_router_shard_seconds"
                 ~labels:[ ("shard", s.t_name) ] } ))
@@ -266,7 +255,7 @@ let create cfg =
     started = Unix.gettimeofday ();
     m = Mutex.create ();
     conns = [];
-    threads = [];
+    threads = Hashtbl.create 16;
     requests = 0;
     routed = 0;
     hedged = 0;
@@ -274,12 +263,12 @@ let create cfg =
     failovers = 0;
     errors = 0;
     unavailable = 0;
-    promotions = 0;
-    hits = Hashtbl.create 256;
-    promoted = Hashtbl.create 64;
     latencies = Array.make lat_window 0.0;
     lat_n = 0;
-    hedge_threshold = 0.025 }
+    (* A pinned threshold holds from the first request; the adaptive
+       one starts at 25 ms until a window of latencies is in. *)
+    hedge_threshold =
+      (match cfg.hedge_ms with Some ms -> ms /. 1000.0 | None -> 0.025) }
 
 (* --- adaptive hedge threshold ---------------------------------------------- *)
 
@@ -308,27 +297,9 @@ let record_latency t ms =
 
 (* Ring successors of the route key, healthy shards first (ring order
    preserved within each class — if everything is down we still try, in
-   order).  Promoted hot keys rotate their entry point across the first
-   [replicas] successors so a popular analysis front is spread over its
-   whole replica set instead of hammering the primary. *)
-let candidates t rkey ~hits ~promoted =
+   order). *)
+let candidates t rkey =
   let names = Ring.successors t.ring rkey (List.length t.cfg.shards) in
-  let names =
-    if promoted && t.cfg.replicas > 1 then begin
-      let r = min t.cfg.replicas (List.length names) in
-      let rec split n acc = function
-        | rest when n = 0 -> (List.rev acc, rest)
-        | x :: rest -> split (n - 1) (x :: acc) rest
-        | [] -> (List.rev acc, [])
-      in
-      let replicas, rest = split r [] names in
-      let k = hits mod r in
-      let rot = List.filteri (fun i _ -> i >= k) replicas
-                @ List.filteri (fun i _ -> i < k) replicas in
-      rot @ rest
-    end
-    else names
-  in
   let now = Unix.gettimeofday () in
   let shards = List.map (shard_of t) names in
   let up, down = List.partition (fun s -> s.down_until <= now) shards in
@@ -515,69 +486,6 @@ let forward t ~t0 ~id ~hedge ?traced line cands =
   let resp = wait () in
   (resp, !did_hedge)
 
-(* --- hot-key promotion ----------------------------------------------------- *)
-
-let hits_cap = 8192
-
-let bump_hits t key =
-  locked t (fun () ->
-      if Hashtbl.length t.hits >= hits_cap then Hashtbl.reset t.hits;
-      let n = 1 + Option.value ~default:0 (Hashtbl.find_opt t.hits key) in
-      Hashtbl.replace t.hits key n;
-      (n, Hashtbl.mem t.promoted key))
-
-(* Push a hot result to the replica shards, off the request path.  A
-   failed put is dropped: replication is a latency optimization, the
-   primary still owns the result. *)
-let replicate t ckey rkey result =
-  let line =
-    J.to_string ~indent:false
-      (J.Obj
-         [ ("proto", J.Int Protocol.proto_version);
-           ("op", J.Str "put");
-           ("key", J.Str ckey);
-           ("result", result) ])
-  in
-  let targets =
-    match Ring.successors t.ring rkey t.cfg.replicas with
-    | [] -> []
-    | _primary :: replicas -> replicas
-  in
-  List.iter
-    (fun name ->
-      let sh = shard_of t name in
-      match Conns.acquire sh.s_conns with
-      | exception _ -> ()
-      | c -> (
-        match
-          output_string c.oc line;
-          output_char c.oc '\n';
-          flush c.oc;
-          input_line c.ic
-        with
-        | _ ->
-          Conns.release sh.s_conns c;
-          if Metrics.enabled () then Metrics.incr sh.m_puts
-        | exception _ -> Conns.destroy sh.s_conns c))
-    targets
-
-let maybe_promote t ckey rkey ~hits resp =
-  if
-    t.cfg.replicas > 1 && hits >= t.cfg.promote_after
-    && not (locked t (fun () -> Hashtbl.mem t.promoted ckey))
-  then begin
-    match J.of_string resp with
-    | exception J.Parse_error _ -> ()
-    | j -> (
-      match (J.member "status" j, J.member "result" j) with
-      | J.Str "ok", (J.Obj _ as result) ->
-        locked t (fun () ->
-            Hashtbl.replace t.promoted ckey ();
-            t.promotions <- t.promotions + 1);
-        ignore (Thread.create (fun () -> replicate t ckey rkey result) ())
-      | _ -> ())
-  end
-
 (* --- fleet trace assembly --------------------------------------------------- *)
 
 (* Pull one shard's span rings over its own protocol ([op = "trace"]).
@@ -668,13 +576,13 @@ let stats_json t =
             t.failovers,
             t.errors,
             t.unavailable,
-            t.promotions,
+            Hashtbl.length t.threads,
             t.lat_n ),
           Array.sub t.latencies 0 (min t.lat_n lat_window),
           t.hedge_threshold ))
   in
   let requests, routed, hedged, hedge_wins, failovers, errors, unavailable,
-      promotions, lat_n =
+      connections, lat_n =
     counters
   in
   Array.sort compare lats;
@@ -689,7 +597,7 @@ let stats_json t =
       ("failovers", J.Int failovers);
       ("errors", J.Int errors);
       ("unavailable", J.Int unavailable);
-      ("promotions", J.Int promotions);
+      ("connections", J.Int connections);
       ("hedge_threshold_ms", J.Float (threshold *. 1000.0));
       ("latency_ms",
        J.Obj
@@ -753,13 +661,6 @@ let handle_line t line =
         fl_op := "flight";
         envelope ?id ~status:"ok"
           [ ("op", J.Str "flight"); ("result", Flight.to_json_all ()) ]
-      | Protocol.Fetch key | Protocol.Put (key, _) ->
-        (* Replication ops address a single owner; no hedging. *)
-        fl_op := (match J.member "op" j with J.Str s -> s | _ -> "fetch");
-        fl_key := key;
-        locked t (fun () -> t.routed <- t.routed + 1);
-        let cands = candidates t key ~hits:0 ~promoted:false in
-        fst (forward t ~t0 ~id ~hedge:false line cands)
       | Protocol.Profile (preq, _) ->
         (* A profile push must land where the program's analyses land —
            the route_key owner — so the shard that serves the VRS
@@ -770,16 +671,13 @@ let handle_line t line =
         let rkey = Protocol.route_key preq in
         fl_key := rkey;
         locked t (fun () -> t.routed <- t.routed + 1);
-        let cands = candidates t rkey ~hits:0 ~promoted:false in
-        fst (forward t ~t0 ~id ~hedge:false line cands)
+        fst (forward t ~t0 ~id ~hedge:false line (candidates t rkey))
       | Protocol.Analyze req ->
         fl_op := "analyze";
         locked t (fun () -> t.routed <- t.routed + 1);
         let rkey = Protocol.route_key req in
-        let ckey = Protocol.cache_key req in
         fl_key := rkey;
-        let hits, already_promoted = bump_hits t ckey in
-        let cands = candidates t rkey ~hits ~promoted:already_promoted in
+        let cands = candidates t rkey in
         let serve ~traced () =
           let resp, hedged = forward t ~t0 ~id ~hedge:true ?traced line cands in
           fl_hedged := hedged;
@@ -820,7 +718,6 @@ let handle_line t line =
                     serve ~traced ()))
           end
         in
-        maybe_promote t ckey rkey ~hits resp;
         record_latency t ((Unix.gettimeofday () -. t0) *. 1000.0);
         resp)
   in
@@ -855,7 +752,9 @@ let handle_conn t fd =
        | exception (End_of_file | Sys_error _) -> continue := false
      done
    with _ -> ());
-  locked t (fun () -> t.conns <- List.filter (fun c -> c != fd) t.conns);
+  locked t (fun () ->
+      t.conns <- List.filter (fun c -> c != fd) t.conns;
+      Hashtbl.remove t.threads (Thread.id (Thread.self ())));
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 let stop t =
@@ -886,8 +785,7 @@ let run t =
       [ ("version", J.Str Version.version);
         ("addr", J.Str (Server.addr_string t.cfg.addr));
         ("shards",
-         J.Arr (List.map (fun (n, _) -> J.Str n) t.shard_tbl));
-        ("replicas", J.Int t.cfg.replicas) ];
+         J.Arr (List.map (fun (n, _) -> J.Str n) t.shard_tbl)) ];
   let continue = ref true in
   while !continue do
     if Atomic.get t.stopping then continue := false
@@ -899,9 +797,12 @@ let run t =
           continue := false
         end
         else
+          (* Spawned under the lock, so the handler's own removal on
+             exit always follows its registration. *)
           locked t (fun () ->
               t.conns <- fd :: t.conns;
-              t.threads <- Thread.create (handle_conn t) fd :: t.threads)
+              let th = Thread.create (handle_conn t) fd in
+              Hashtbl.replace t.threads (Thread.id th) th)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done;
   Log.info "ogc-router: draining" ~fields:[];
@@ -909,7 +810,10 @@ let run t =
   (match t.cfg.addr with
   | Server.Unix_sock path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
   | Server.Tcp _ -> ());
-  let conns, threads = locked t (fun () -> (t.conns, t.threads)) in
+  let conns, threads =
+    locked t (fun () ->
+        (t.conns, Hashtbl.fold (fun _ th acc -> th :: acc) t.threads []))
+  in
   List.iter
     (fun fd ->
       try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE

@@ -13,11 +13,11 @@
     {b Pools and backpressure.}  Each shard gets a bounded connection
     pool ([pool_size] sockets, lazily opened).  When every connection is
     busy, up to [max_waiters] requests queue per shard; beyond that the
-    attempt fails fast and the request falls through to the next replica
-    — backpressure surfaces as failover, not as unbounded queueing.
+    attempt fails fast and the request falls through to the next ring
+    successor — backpressure surfaces as failover, not as unbounded queueing.
 
     {b Hedging.}  A request that has not answered within the hedge
-    threshold gets a second copy sent to the ring's next replica; the
+    threshold gets a second copy sent to the ring's next successor; the
     first response wins (the straggler still completes and returns its
     connection, keeping the NDJSON stream in sync).  The threshold
     adapts to the observed latency distribution (roughly 2x a recent
@@ -30,12 +30,11 @@
     successor, through the whole fleet if necessary; only when every
     shard has failed does the client see [{"status":"unavailable"}].
 
-    {b Replication.}  The router counts hits per result key; when a key
-    reaches [promote_after] hits it is promoted: its result payload is
-    pushed ([put]) to the next [replicas - 1] ring successors, and
-    subsequent requests for the hot key rotate across the replica set.
-    A hedged or failed-over request for a promoted key is then a result
-    cache hit on the replica instead of a recompute.
+    {b No result replication.}  A result lives only in the cache of the
+    shard that computed it.  A hedged or failed-over request therefore
+    recomputes on the successor (or hits its own cache there), and a
+    profile push reaches exactly the shard that serves the program's
+    analyses, so no shard answers from a copy older than its epoch.
 
     Local ops ([ping], [stats], [metrics], [flight]) are answered by the
     router itself; [stats] reports routing counters and per-shard health
@@ -66,8 +65,6 @@ type config = {
   vnodes : int;  (** ring points per shard *)
   pool_size : int;  (** connections per shard *)
   max_waiters : int;  (** queued acquires per shard before failover *)
-  replicas : int;  (** copies of a promoted hot result, primary included *)
-  promote_after : int;  (** result-key hits before promotion *)
   hedge_ms : float option;  (** fixed hedge threshold; [None] = adaptive *)
   connect_timeout_ms : int;
   request_timeout_ms : int;  (** overall per-request budget *)
@@ -75,9 +72,8 @@ type config = {
 
 val default_config :
   addr:Ogc_server.Server.addr -> shards:target list -> config
-(** [vnodes = 128], [pool_size = 8], [max_waiters = 64], [replicas = 2],
-    [promote_after = 3], adaptive hedging, [connect_timeout_ms = 1000],
-    [request_timeout_ms = 30_000]. *)
+(** [vnodes = 128], [pool_size = 8], [max_waiters = 64], adaptive
+    hedging, [connect_timeout_ms = 1000], [request_timeout_ms = 30_000]. *)
 
 type t
 
@@ -100,5 +96,6 @@ val handle_line : t -> string -> string
 
 val stats_json : t -> Ogc_json.Json.t
 (** Routing counters (requests, hedges and hedge wins, failovers,
-    promotions, unavailable replies), the current hedge threshold,
+    unavailable replies), live connection handlers (["connections"]),
+    the current hedge threshold,
     client-observed latency percentiles, and per-shard health. *)

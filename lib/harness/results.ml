@@ -804,6 +804,24 @@ let config_stats (w : wres) =
   @ List.map (fun (l, s) -> (Printf.sprintf "vrs%d" l, s)) w.vrs
   @ [ ("vrs50_sig", w.vrs50_sig); ("vrs50_size", w.vrs50_size) ]
 
+(* A deterministic work counter regresses on any change, in either
+   direction: a different count is a change to bless, not noise. *)
+let exact_cell ~workload ~config metric base cur =
+  if base = cur then []
+  else
+    [
+      {
+        r_workload = workload;
+        r_config = config;
+        r_metric = metric;
+        r_baseline = float_of_int base;
+        r_current = float_of_int cur;
+        r_delta_frac =
+          (if base = 0 then 1.0
+           else Float.abs (float_of_int (cur - base)) /. float_of_int base);
+      };
+    ]
+
 let compare_to_baseline ~time_tolerance ~baseline ~current ~threshold =
   if baseline.quick <> current.quick then
     [
@@ -903,64 +921,48 @@ let compare_to_baseline ~time_tolerance ~baseline ~current ~threshold =
                     (Pipeline.ipc bs) (Pipeline.ipc cs))
             (config_stats cw))
       current.workloads
-    @ (* Analyze-throughput series: visit counts are deterministic and
-         gated at the strict threshold; wall time is noisy and gets its
-         own (looser) tolerance. *)
+    @ (* Analyze-throughput series: the VRP engine's visit and round
+         counts are deterministic and gated exactly; wall time is noisy
+         and gets its own (looser) tolerance. *)
     List.concat_map
       (fun (name, ca) ->
         match List.assoc_opt name baseline.analyze with
         | None -> []
         | Some ba ->
-          let cell metric tol base cur =
-            let delta = if base <= 0.0 then 0.0 else (cur -. base) /. base in
-            if delta > tol then
-              [
-                {
-                  r_workload = name;
-                  r_config = "analyze";
-                  r_metric = metric;
-                  r_baseline = base;
-                  r_current = cur;
-                  r_delta_frac = delta;
-                };
-              ]
-            else []
+          let exact = exact_cell ~workload:name ~config:"analyze" in
+          let slower =
+            if ba.ab_seconds <= 0.0 then 0.0
+            else (ca.ab_seconds -. ba.ab_seconds) /. ba.ab_seconds
           in
-          cell "analyze_visits" threshold
-            (float_of_int ba.ab_visits)
-            (float_of_int ca.ab_visits)
-          @ cell "analyze_seconds" time_tolerance ba.ab_seconds ca.ab_seconds)
+          exact "analyze_visits" ba.ab_visits ca.ab_visits
+          @ exact "analyze_rounds" ba.ab_rounds ca.ab_rounds
+          @
+          if slower > time_tolerance then
+            [
+              {
+                r_workload = name;
+                r_config = "analyze";
+                r_metric = "analyze_seconds";
+                r_baseline = ba.ab_seconds;
+                r_current = ca.ab_seconds;
+                r_delta_frac = slower;
+              };
+            ]
+          else [])
       current.analyze
-    @ (* Simulation work counters are deterministic and gated exactly,
-         in both directions: a change in how often the grid simulates is
-         a change to bless, not noise.  They compare only when both
-         collections cover the same workloads and the baseline recorded
-         them. *)
+    @ (* Simulation work counters are gated exactly too: a change in how
+         often the grid simulates is a change to bless.  They compare
+         only when both collections cover the same workloads and the
+         baseline recorded them. *)
     (if
        baseline.simulations > 0
        && List.map (fun w -> w.wname) baseline.workloads
           = List.map (fun w -> w.wname) current.workloads
      then
-       List.filter_map
-         (fun (metric, base, cur) ->
-           if base = cur then None
-           else
-             Some
-               {
-                 r_workload = "*";
-                 r_config = "work";
-                 r_metric = metric;
-                 r_baseline = float_of_int base;
-                 r_current = float_of_int cur;
-                 r_delta_frac =
-                   Float.abs (float_of_int (cur - base)) /. float_of_int base;
-               })
-         [
-           ("simulations", baseline.simulations, current.simulations);
-           ( "sim_instructions",
-             baseline.sim_instructions,
-             current.sim_instructions );
-         ]
+       let exact = exact_cell ~workload:"*" ~config:"work" in
+       exact "simulations" baseline.simulations current.simulations
+       @ exact "sim_instructions" baseline.sim_instructions
+           current.sim_instructions
      else [])
     @ (* Fleet series: failed submissions are gated exactly (any failed
          request regresses the zero-failure criterion); client-observed

@@ -194,9 +194,10 @@ val compare_to_baseline :
     full mode mismatch compares nothing and reports a single pseudo
     regression on the ["mode"] cell so CI fails loudly instead of
     vacuously passing.  The analyze-throughput series is also gated:
-    fixpoint visit counts (deterministic) against [threshold], analyze
-    wall seconds (noisy) against [time_tolerance] ([0.5] means 50%
-    slower than baseline fails).  The spill series gates growth of
+    the fixpoint's visit and round counts (deterministic) exactly — any
+    change in either direction regresses — and analyze wall seconds
+    (noisy) against [time_tolerance] ([0.5] means 50% slower than
+    baseline fails).  The spill series gates growth of
     static width-aware slot bytes and of baseline spill traffic per
     workload against [threshold] (spilling appearing where the baseline
     had none is flagged outright), and additionally regresses when a

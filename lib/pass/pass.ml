@@ -387,11 +387,7 @@ let chain_key inst prev =
 module Store = struct
   type slot = { s_state : state; mutable s_last : int }
 
-  type per_pass = {
-    mutable hits : int;
-    mutable misses : int;
-    mutable replica : int;
-  }
+  type per_pass = { mutable hits : int; mutable misses : int }
 
   type t = {
     capacity : int;
@@ -399,7 +395,6 @@ module Store = struct
     tbl : (string, slot) Hashtbl.t;
     by_pass : (string, per_pass) Hashtbl.t;
     mutable tick : int;
-    mutable fallback : (pass:string -> string -> state option) option;
     (* Cross-run per-function VRP memo, shared by every chain that runs
        against this store: an epoch bump re-addresses the downstream
        artifacts, but unchanged functions still replay their fragments
@@ -414,7 +409,6 @@ module Store = struct
       tbl = Hashtbl.create 64;
       by_pass = Hashtbl.create 8;
       tick = 0;
-      fallback = None;
       fn_cache = Vrp.Fn_cache.create ();
     }
 
@@ -424,23 +418,15 @@ module Store = struct
     Mutex.lock t.m;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
-  let set_fallback t f = locked t (fun () -> t.fallback <- Some f)
-
   let counters t pass =
     match Hashtbl.find_opt t.by_pass pass with
     | Some c -> c
     | None ->
-      let c = { hits = 0; misses = 0; replica = 0 } in
+      let c = { hits = 0; misses = 0 } in
       Hashtbl.replace t.by_pass pass c;
       c
 
-  let peek t ~pass:_ key =
-    locked t (fun () ->
-        Option.map
-          (fun slot -> snapshot slot.s_state)
-          (Hashtbl.find_opt t.tbl key))
-
-  let find_local t ~pass key =
+  let find t ~pass key =
     locked t (fun () ->
         let c = counters t pass in
         match Hashtbl.find_opt t.tbl key with
@@ -452,11 +438,6 @@ module Store = struct
         | None ->
           c.misses <- c.misses + 1;
           None)
-
-  (* Grabbed under the lock so a concurrent [set_fallback] can't tear
-     the read; the fallback itself runs outside the lock because it may
-     call [peek] on a sibling store. *)
-  let fallback_of t = locked t (fun () -> t.fallback)
 
   (* Caller must hold [t.m]. *)
   let insert_locked t key st =
@@ -480,25 +461,6 @@ module Store = struct
       Hashtbl.replace t.tbl key { s_state = snapshot st; s_last = t.tick }
     end
 
-  let install t ~pass key st =
-    locked t (fun () ->
-        let c = counters t pass in
-        c.replica <- c.replica + 1;
-        insert_locked t key st)
-
-  let find t ~pass key =
-    match find_local t ~pass key with
-    | Some _ as hit -> hit
-    | None -> (
-      match fallback_of t with
-      | None -> None
-      | Some f -> (
-        match f ~pass key with
-        | None -> None
-        | Some st ->
-          install t ~pass key st;
-          Some st))
-
   let store t ~pass:_ key st = locked t (fun () -> insert_locked t key st)
   let entries t = locked t (fun () -> Hashtbl.length t.tbl)
 
@@ -506,12 +468,6 @@ module Store = struct
     locked t (fun () ->
         Hashtbl.fold (fun n c acc -> (n, c.hits, c.misses) :: acc) t.by_pass []
         |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b))
-
-  let replica_stats t =
-    locked t (fun () ->
-        Hashtbl.fold (fun n c acc -> (n, c.replica) :: acc) t.by_pass []
-        |> List.filter (fun (_, r) -> r > 0)
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b))
 end
 
 (* --- telemetry ------------------------------------------------------------ *)

@@ -113,21 +113,7 @@ module Store : sig
 
   val find : t -> pass:string -> string -> state option
   (** A private copy of the snapshot at this address, if present;
-      updates recency and the per-pass hit/miss counters.  On a local
-      miss the fallback (if any) is consulted; a fallback hit is
-      installed locally and counted under the per-pass replica counter
-      rather than as a hit. *)
-
-  val peek : t -> pass:string -> string -> state option
-  (** Local-only lookup: no fallback, no recency update, no counters.
-      This is what fallbacks themselves should use on sibling stores, so
-      replica consultation can never recurse. *)
-
-  val set_fallback : t -> (pass:string -> string -> state option) -> unit
-  (** Attach a second-level lookup consulted on local misses (e.g. the
-      {!peek}s of co-located shard stores, or a replication fetch).  The
-      fallback runs outside the store lock and must not call {!find} or
-      {!store} on this store. *)
+      updates recency and the per-pass hit/miss counters. *)
 
   val store : t -> pass:string -> string -> state -> unit
   (** Idempotent: re-storing an existing address keeps the first
@@ -141,10 +127,6 @@ module Store : sig
 
   val pass_stats : t -> (string * int * int) list
   (** Per pass name (sorted): store hits and misses since creation. *)
-
-  val replica_stats : t -> (string * int) list
-  (** Per pass name (sorted): artifacts served via the fallback rather
-      than locally.  Passes with zero replica hits are omitted. *)
 end
 
 (** What {!run_chain} did for one chain element. *)

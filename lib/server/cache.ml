@@ -127,7 +127,7 @@ let find t key =
       | None -> (
         match Option.map read_file (path_of t key) with
         | Some (Some value) ->
-          (* Disk hit: promote into the in-memory tier. *)
+          (* Disk hit: load into the in-memory tier. *)
           insert_locked t key value;
           t.hits <- t.hits + 1;
           t.disk_hits <- t.disk_hits + 1;
@@ -137,18 +137,6 @@ let find t key =
           t.misses <- t.misses + 1;
           Metrics.incr m_misses;
           None))
-
-(* Replication probes (is this result here?) must not distort the LRU
-   order or the hit/miss telemetry the serve loop's accounting relies
-   on, so [peek] bypasses both. *)
-let peek t key =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.tbl key with
-      | Some e -> Some e.value
-      | None -> (
-        match Option.map read_file (path_of t key) with
-        | Some (Some value) -> Some value
-        | _ -> None))
 
 let store t key value =
   locked t (fun () ->

@@ -9,7 +9,7 @@
     - optionally, one file per entry under [dir] ([<digest>.json],
       written atomically via rename), so a restarted server — or another
       server sharing the directory — rehydrates results it has never
-      computed.  Disk lookups count as hits and promote the entry back
+      computed.  Disk lookups count as hits and load the entry back
       into memory.
 
     All operations are thread-safe (one mutex; no I/O is performed while
@@ -38,12 +38,6 @@ val create : ?capacity:int -> ?dir:string -> unit -> t
 
 val find : t -> string -> string option
 (** Memory first, then disk; updates hit/miss counters and recency. *)
-
-val peek : t -> string -> string option
-(** Memory first, then disk, but with no side effects: no counter
-    updates, no recency restamp, no disk-to-memory promotion.  Used by
-    replication probes, which must not distort the serve loop's cache
-    accounting. *)
 
 val store : t -> string -> string -> unit
 (** Idempotent: re-storing an existing key keeps the first value. *)

@@ -36,8 +36,6 @@ type op =
   | Stats
   | Ping
   | Metrics
-  | Fetch of string
-  | Put of string * J.t
   | Trace
   | Flight
   | Profile of request * Ogc_pass.Profile.t
@@ -145,17 +143,6 @@ let request_of_json j =
     trace_id = opt_string "trace_id" j;
     parent_span = opt_int "parent_span" j }
 
-(* Replication keys travel between shards; insist on the exact shape a
-   {!cache_key} has (32 lowercase hex characters) so a confused client
-   can never address arbitrary strings into a shard's cache. *)
-let key_arg j =
-  match opt_string "key" j with
-  | None -> fail "member \"key\": required"
-  | Some k ->
-    let hex c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') in
-    if String.length k = 32 && String.for_all hex k then k
-    else fail "member \"key\": expected 32 lowercase hex characters"
-
 let op_of_json j =
   check_proto j;
   match opt_string "op" j with
@@ -163,11 +150,6 @@ let op_of_json j =
   | Some "stats" -> Stats
   | Some "ping" -> Ping
   | Some "metrics" -> Metrics
-  | Some "fetch" -> Fetch (key_arg j)
-  | Some "put" -> (
-    match J.member "result" j with
-    | J.Null -> fail "member \"result\": required"
-    | r -> Put (key_arg j, r))
   | Some "trace" -> Trace
   | Some "flight" -> Flight
   | Some "profile" -> (
@@ -183,8 +165,8 @@ let op_of_json j =
         fail "member \"profile\": %s" m))
   | Some op ->
     fail
-      "unknown op %S (expected analyze, stats, ping, metrics, fetch, put, \
-       trace, flight or profile)"
+      "unknown op %S (expected analyze, stats, ping, metrics, trace, flight \
+       or profile)"
       op
 
 (* --- cache key ------------------------------------------------------------ *)
@@ -268,23 +250,25 @@ let load req input =
     p
 
 (* Baseline (untransformed, ungated) and optimized programs, both at the
-   request's evaluation scale.  VRS mirrors the batch harness: profile
-   and specialize on the train input, evaluate on the requested one.
-   Transformations run as {!Ogc_pass.Pass} chains; with a [store]
-   attached, requests sharing a program and differing only downstream
-   (e.g. two VRS costs) reuse the common prefix artifacts — the VRP
-   fixpoint and the training/value profiles — instead of recomputing
-   them. *)
+   request's evaluation scale.  The baseline is lazy: {!analyze} forces
+   it only when the {!Baselines} memo misses, so a memo hit skips its
+   compile.  VRS mirrors the batch harness: profile and specialize on
+   the train input, evaluate on the requested one.  Transformations run
+   as {!Ogc_pass.Pass} chains; with a [store] attached, requests sharing
+   a program and differing only downstream (e.g. two VRS costs) reuse
+   the common prefix artifacts — the VRP fixpoint and the
+   training/value profiles — instead of recomputing them. *)
 let build ?store ?wire req =
   match req.pass with
   | P_none ->
     let p = load req req.input in
-    (Prog.copy p, p)
+    (lazy (Prog.copy p), p)
   | P_vrp ->
     let p = load req req.input in
+    (* The chain transforms [p] in place: copy the baseline first. *)
     let base = Prog.copy p in
     let st, _ = Pass.run ?store "vrp,encode-widths" p in
-    (base, st.Pass.prog)
+    (Lazy.from_val base, st.Pass.prog)
   | P_vrs ->
     let p = load req Workload.Train in
     (* With a streamed profile the training runs are replaced by the
@@ -305,7 +289,7 @@ let build ?store ?wire req =
     let st, _ = Pass.run ?store ?wire chain p in
     let p = st.Pass.prog in
     set_scale_if p req.input;
-    (load req req.input, p)
+    (lazy (load req req.input), p)
 
 let static_widths p =
   let h = Hashtbl.create 8 in
@@ -336,7 +320,7 @@ let analyze ?store ?wire ?baselines req =
      shared by every variant of it; with no pass, it is also the
      optimized run, priced twice. *)
   let base_run =
-    let run () = Pipeline.run base in
+    let run () = Pipeline.run (Lazy.force base) in
     match baselines with
     | None -> run ()
     | Some b ->

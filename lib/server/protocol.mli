@@ -56,9 +56,6 @@ type op =
   | Stats
   | Ping
   | Metrics
-  | Fetch of string  (** replication: read a cached result by key *)
-  | Put of string * Ogc_json.Json.t
-      (** replication: install a result under its key *)
   | Trace  (** return this process's span rings ({!Ogc_obs.Span.export}) *)
   | Flight  (** return the flight-recorder ring ({!Ogc_obs.Flight}) *)
   | Profile of request * Ogc_pass.Profile.t
@@ -81,9 +78,7 @@ exception Version_mismatch of int
 val op_of_json : Ogc_json.Json.t -> op
 (** Raises [Ogc_json.Json.Parse_error] on malformed requests and
     {!Version_mismatch} on a protocol version conflict.  An absent
-    ["proto"] member denotes a pre-handshake client and is accepted.
-    [fetch]/[put] keys must be 32 lowercase hex characters (the
-    {!cache_key} shape). *)
+    ["proto"] member denotes a pre-handshake client and is accepted. *)
 
 val pass_name : pass -> string
 val input_name : Ogc_workloads.Workload.input -> string

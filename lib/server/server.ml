@@ -10,8 +10,8 @@ exception Deadline_exceeded
 (* Per-op request counters and latency histograms; "invalid" covers
    lines that never parsed far enough to name an op. *)
 let known_ops =
-  [ "analyze"; "stats"; "ping"; "metrics"; "fetch"; "put"; "trace"; "flight";
-    "profile"; "respec"; "invalid" ]
+  [ "analyze"; "stats"; "ping"; "metrics"; "trace"; "flight"; "profile";
+    "respec"; "invalid" ]
 
 let m_requests =
   List.map
@@ -87,15 +87,14 @@ type t = {
       (* epoch-salted keys with a background re-specialization queued or
          running — dedup so a burst of stale hits schedules one *)
   mutable conns : Unix.file_descr list;
-  mutable threads : Thread.t list;
+  threads : (int, Thread.t) Hashtbl.t;
+      (* live connection handlers by thread id; each removes itself on
+         exit, so finished connections hold nothing *)
   mutable requests : int;
   mutable analyses : int;  (* cache misses actually computed *)
   mutable errors : int;
   mutable rejected : int;  (* overload replies *)
   mutable expired : int;  (* deadline replies *)
-  mutable fetches : int;  (* replication fetch ops served *)
-  mutable fetch_hits : int;  (* ... that found the key *)
-  mutable puts : int;  (* replication put ops accepted *)
   mutable stale_served : int;  (* previous-epoch answers served *)
   mutable respecs : int;  (* background re-specializations completed *)
   latencies : float array;  (* ring of the last [lat_window] latencies, ms *)
@@ -160,33 +159,16 @@ let create cfg =
     served = Hashtbl.create 64;
     respec_inflight = Hashtbl.create 8;
     conns = [];
-    threads = [];
+    threads = Hashtbl.create 16;
     requests = 0;
     analyses = 0;
     errors = 0;
     rejected = 0;
     expired = 0;
-    fetches = 0;
-    fetch_hits = 0;
-    puts = 0;
     stale_served = 0;
     respecs = 0;
     latencies = Array.make lat_window 0.0;
     lat_n = 0 }
-
-(* Co-located in-process shards: wire every shard's pass store to peek
-   at its siblings' on a local miss, so a chain-prefix artifact computed
-   on any shard is visible fleet-wide.  [peek] never takes a sibling's
-   find path, so the consultation cannot recurse or deadlock. *)
-let link_stores ts =
-  List.iter
-    (fun t ->
-      let siblings = List.filter (fun s -> s != t) ts in
-      Ogc_pass.Pass.Store.set_fallback t.passes (fun ~pass key ->
-          List.find_map
-            (fun s -> Ogc_pass.Pass.Store.peek s.passes ~pass key)
-            siblings))
-    ts
 
 (* --- stats ----------------------------------------------------------------- *)
 
@@ -194,15 +176,14 @@ let percentile = Metrics.percentile_sorted
 
 let stats_json t =
   let c = Cache.stats t.cache in
-  let lats, counters, repl, stale =
+  let lats, counters, stale, connections =
     locked t (fun () ->
         ( Array.sub t.latencies 0 (min t.lat_n lat_window),
           (t.requests, t.analyses, t.errors, t.rejected, t.expired, t.lat_n),
-          (t.fetches, t.fetch_hits, t.puts),
-          (t.stale_served, t.respecs) ))
+          (t.stale_served, t.respecs),
+          Hashtbl.length t.threads ))
   in
   let requests, analyses, errors, rejected, expired, lat_n = counters in
-  let fetches, fetch_hits, puts = repl in
   let stale_served, respecs = stale in
   Array.sort compare lats;
   let lookups = c.Cache.hits + c.Cache.misses in
@@ -216,6 +197,7 @@ let stats_json t =
       ("errors", J.Int errors);
       ("rejected", J.Int rejected);
       ("expired", J.Int expired);
+      ("connections", J.Int connections);
       ("cache",
        J.Obj
          [ ("entries", J.Int c.Cache.entries);
@@ -236,18 +218,9 @@ let stats_json t =
          [ ("artifacts", J.Int (Ogc_pass.Pass.Store.entries t.passes));
            ("by_pass",
             J.Obj
-              (let replicas =
-                 Ogc_pass.Pass.Store.replica_stats t.passes
-               in
-               List.map
+              (List.map
                  (fun (n, h, m) ->
-                   ( n,
-                     J.Obj
-                       ([ ("hits", J.Int h); ("misses", J.Int m) ]
-                       @
-                       match List.assoc_opt n replicas with
-                       | Some r -> [ ("replica", J.Int r) ]
-                       | None -> []) ))
+                   (n, J.Obj [ ("hits", J.Int h); ("misses", J.Int m) ]))
                  (Ogc_pass.Pass.Store.pass_stats t.passes))) ]);
       ("baselines",
        (let entries, hits, misses = Baselines.stats t.baselines in
@@ -255,11 +228,6 @@ let stats_json t =
           [ ("entries", J.Int entries);
             ("hits", J.Int hits);
             ("misses", J.Int misses) ]));
-      ("replication",
-       J.Obj
-         [ ("fetches", J.Int fetches);
-           ("fetch_hits", J.Int fetch_hits);
-           ("puts", J.Int puts) ]);
       ("profile",
        (let programs, pushes = Profile_store.stats t.profiles in
         let fn_hits, fn_runs =
@@ -584,24 +552,6 @@ let handle_line t line =
         ( "flight",
           envelope ?id ~status:"ok"
             [ ("op", J.Str "flight"); ("result", Flight.to_json_all ()) ] )
-      | Protocol.Fetch key -> (
-        locked t (fun () -> t.fetches <- t.fetches + 1);
-        match Cache.peek t.cache key with
-        | Some payload ->
-          locked t (fun () -> t.fetch_hits <- t.fetch_hits + 1);
-          ( "fetch",
-            envelope ?id ~status:"ok"
-              [ ("op", J.Str "fetch");
-                ("found", J.Bool true);
-                ("result", J.of_string payload) ] )
-        | None ->
-          ( "fetch",
-            envelope ?id ~status:"ok"
-              [ ("op", J.Str "fetch"); ("found", J.Bool false) ] ))
-      | Protocol.Put (key, result) ->
-        Cache.store t.cache key (J.to_string ~indent:false result);
-        locked t (fun () -> t.puts <- t.puts + 1);
-        ("put", envelope ?id ~status:"ok" [ ("op", J.Str "put") ])
       | Protocol.Profile (preq, delta) ->
         (* Accumulate the observation delta under the program's identity
            and answer with the bumped epoch — the client's receipt that
@@ -685,7 +635,8 @@ let handle_conn t fd =
      done
    with _ -> ());
   locked t (fun () ->
-      t.conns <- List.filter (fun c -> c != fd) t.conns);
+      t.conns <- List.filter (fun c -> c != fd) t.conns;
+      Hashtbl.remove t.threads (Thread.id (Thread.self ())));
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* --- lifecycle ------------------------------------------------------------- *)
@@ -749,9 +700,12 @@ let run t =
           continue := false
         end
         else
+          (* Spawned under the lock, so the handler's own removal on
+             exit always follows its registration. *)
           locked t (fun () ->
               t.conns <- fd :: t.conns;
-              t.threads <- Thread.create (handle_conn t) fd :: t.threads)
+              let th = Thread.create (handle_conn t) fd in
+              Hashtbl.replace t.threads (Thread.id th) th)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done;
   (* Graceful drain: stop accepting, nudge idle connections to EOF (a
@@ -765,7 +719,8 @@ let run t =
   | Unix_sock path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
   | Tcp _ -> ());
   let conns, threads =
-    locked t (fun () -> (t.conns, t.threads))
+    locked t (fun () ->
+        (t.conns, Hashtbl.fold (fun _ th acc -> th :: acc) t.threads []))
   in
   List.iter
     (fun fd ->

@@ -83,13 +83,6 @@ val create : config -> t
     the worker pool.  Raises [Unix.Unix_error] when the address is
     unavailable. *)
 
-val link_stores : t list -> unit
-(** Wire the pass stores of co-located in-process shards together: on a
-    local artifact miss each shard peeks at its siblings (read-only, no
-    recursion) and installs what it finds, counted as a replica hit in
-    [stats].  Used by in-process fleets (tests, bench); separate shard
-    processes share artifacts through result replication instead. *)
-
 val ignore_sigpipe : unit -> unit
 (** Ignore SIGPIPE process-wide (no-op where the signal does not exist)
     so a peer disconnecting mid-write surfaces as [EPIPE] on the
@@ -113,7 +106,8 @@ val install_sigusr1 : unit -> unit
     fleet router. *)
 
 val stats_json : t -> Ogc_json.Json.t
-(** The same counters the ["stats"] op reports: requests, cache
+(** The same counters the ["stats"] op reports: requests, live
+    connection handlers (["connections"]), cache
     hit/miss/eviction counts and byte footprint (both tiers), per-pass
     artifact-store hit/miss counts (["passes"]), baseline-run memo
     entries and hit/miss counts (["baselines"]), latency percentiles

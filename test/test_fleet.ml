@@ -1,6 +1,7 @@
 (* Fleet tests: consistent-hash ring properties (balance, minimal key
    movement on resize), router hedging past an injected slow shard,
-   failover past a dead one, hot-key replication, and a loadgen replay
+   failover past a dead one, a hot program staying on its owner across
+   profile pushes, connection-thread reaping, and a loadgen replay
    that kills a shard mid-run and still completes with zero failures. *)
 
 module J = Ogc_json.Json
@@ -191,7 +192,6 @@ let stop_shard sp =
 
 let with_fleet ?(n = 3) ?(router_cfg = fun c -> c) f =
   let shards = List.init n (fun i -> start_shard (Printf.sprintf "s%d" i)) in
-  Server.link_stores (List.map (fun sp -> sp.sp_t) shards);
   let rpath = sock_path () in
   let targets =
     List.map
@@ -371,38 +371,100 @@ let test_router_fails_over_dead_shard () =
           Alcotest.(check bool) "failover counted" true
             (J.get_int "failovers" (Router.stats_json r) >= 1)))
 
-let test_router_replicates_hot_keys () =
-  with_fleet ~n:3
-    ~router_cfg:(fun c -> { c with Router.promote_after = 2; replicas = 2 })
+(* A hot program is answered by its owner alone, before and after
+   profile pushes: no other shard holds a copy of its results, so none
+   can answer from an epoch the owner has moved past.  Hedging is pinned
+   far off so every request goes to the ring owner. *)
+let test_router_owner_alone_serves_hot_keys () =
+  with_fleet ~n:2
+    ~router_cfg:(fun c -> { c with Router.hedge_ms = Some 60_000.0 })
     (fun rpath r shards ->
-      let line = analyze_line (src_of 2) in
-      for _ = 1 to 3 do
+      let src = src_of 2 in
+      let line = analyze_line ~pass:"vrs" src in
+      let ring =
+        Ring.create
+          ~vnodes:(Router.default_config ~addr:(Server.Unix_sock rpath)
+                     ~shards:[]).Router.vnodes
+          (List.map (fun sp -> sp.sp_name) shards)
+      in
+      let owner = Ring.lookup ring (route_key_of src) in
+      let other = List.find (fun sp -> sp.sp_name <> owner) shards in
+      for _ = 1 to 6 do
         Alcotest.(check string) "hot request ok" "ok"
           (field (request rpath line) "status")
       done;
-      Alcotest.(check bool) "promotion counted" true
-        (J.get_int "promotions" (Router.stats_json r) >= 1);
-      (* The replicate runs off the request path; poll the shards until
-         some replica has accepted the put. *)
-      let deadline = Unix.gettimeofday () +. 5.0 in
-      let rec poll () =
-        let puts =
-          List.fold_left
-            (fun acc sp ->
-              acc
-              + J.get_int "puts"
-                  (J.member "replication" (Server.stats_json sp.sp_t)))
-            0 shards
+      let push epoch =
+        let resp =
+          request rpath
+            (J.to_string ~indent:false
+               (J.Obj
+                  [ ("proto", J.Int Protocol.proto_version);
+                    ("op", J.Str "profile");
+                    ("source", J.Str src);
+                    (* an empty observation delta still bumps the epoch *)
+                    ("profile",
+                     J.of_string {|{"bb":[],"values":[],"zeros":[]}|}) ]))
         in
-        if puts >= 1 then ()
-        else if Unix.gettimeofday () > deadline then
-          Alcotest.fail "no shard accepted a replica put within 5s"
+        Alcotest.(check string) "push lands on the owner"
+          (string_of_int epoch) (field resp "epoch")
+      in
+      (* After each push the owner answers stale while it respecializes,
+         then hits at the new epoch. *)
+      let converge () =
+        let deadline = Unix.gettimeofday () +. 30.0 in
+        let rec go () =
+          match field (request rpath line) "cache" with
+          | "hit" -> ()
+          | _ when Unix.gettimeofday () > deadline ->
+            Alcotest.fail "owner never answered a fresh hit"
+          | _ ->
+            Thread.delay 0.02;
+            go ()
+        in
+        go ()
+      in
+      push 1;
+      converge ();
+      push 2;
+      converge ();
+      let st = Server.stats_json other.sp_t in
+      Alcotest.(check int) "non-owner computed nothing" 0
+        (J.get_int "analyses" st);
+      Alcotest.(check int) "non-owner answered no hit" 0
+        (J.get_int "hits" (J.member "cache" st));
+      Alcotest.(check int) "no hedges fired" 0
+        (J.get_int "hedged" (Router.stats_json r)))
+
+(* Each handler thread removes itself when its connection closes, on
+   the router and on a shard alike. *)
+let test_router_reaps_connection_threads () =
+  with_fleet ~n:1 (fun rpath r shards ->
+      let shard = List.hd shards in
+      let ping = {|{"op":"ping"}|} in
+      for _ = 1 to 200 do
+        ignore (request rpath ping);
+        ignore (request shard.sp_path ping)
+      done;
+      let live () =
+        ( J.get_int "connections" (Router.stats_json r),
+          J.get_int "connections" (Server.stats_json shard.sp_t) )
+      in
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      let rec settle () =
+        let (rn, sn) as n = live () in
+        if (rn <= 2 && sn <= 2) || Unix.gettimeofday () > deadline then n
         else begin
-          Thread.delay 0.02;
-          poll ()
+          Thread.delay 0.01;
+          settle ()
         end
       in
-      poll ())
+      let rn, sn = settle () in
+      Alcotest.(check bool)
+        (Printf.sprintf "router handlers after 200 cycles: %d" rn)
+        true (rn <= 2);
+      Alcotest.(check bool)
+        (Printf.sprintf "shard handlers after 200 cycles: %d" sn)
+        true (sn <= 2))
 
 (* --- distributed tracing (the acceptance criterion) -------------------------- *)
 
@@ -723,8 +785,10 @@ let () =
            test_router_hedges_past_slow_shard;
          Alcotest.test_case "fails over a dead shard" `Quick
            test_router_fails_over_dead_shard;
-         Alcotest.test_case "replicates hot keys" `Quick
-           test_router_replicates_hot_keys ]);
+         Alcotest.test_case "owner alone serves hot keys" `Quick
+           test_router_owner_alone_serves_hot_keys;
+         Alcotest.test_case "reaps connection threads" `Quick
+           test_router_reaps_connection_threads ]);
       ("tracing",
        [ Alcotest.test_case "untraced wire bytes unchanged" `Quick
            test_untraced_wire_bytes_unchanged;

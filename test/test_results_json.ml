@@ -205,6 +205,34 @@ let test_work_counters () =
   Alcotest.(check int) "absent counters read as 0" 0 old.Results.simulations;
   Alcotest.(check int) "absent counters are not gated" 0 (List.length (regs old))
 
+let test_vrp_effort_counters () =
+  let r = Lazy.force collected in
+  Alcotest.(check bool) "analyze series collected" true (r.Results.analyze <> []);
+  let drift f =
+    { r with
+      Results.analyze = List.map (fun (n, ab) -> (n, f ab)) r.Results.analyze }
+  in
+  (* One visit or one round off, either way, on every analyzed workload:
+     each is flagged on its own cell however small the drift. *)
+  List.iter
+    (fun (metric, f) ->
+      let regs =
+        Results.compare_to_baseline ~time_tolerance:0.5 ~baseline:(drift f)
+          ~current:r ~threshold:0.05
+      in
+      Alcotest.(check int)
+        (metric ^ " drift flagged per workload")
+        (List.length r.Results.analyze) (List.length regs);
+      List.iter
+        (fun reg ->
+          Alcotest.(check string) "analyze cell" "analyze" reg.Results.r_config;
+          Alcotest.(check string) "metric" metric reg.Results.r_metric)
+        regs)
+    [ ("analyze_visits", fun ab -> { ab with Results.ab_visits = ab.Results.ab_visits + 1 });
+      ("analyze_visits", fun ab -> { ab with Results.ab_visits = ab.Results.ab_visits - 1 });
+      ("analyze_rounds", fun ab -> { ab with Results.ab_rounds = ab.Results.ab_rounds + 1 });
+      ("analyze_rounds", fun ab -> { ab with Results.ab_rounds = ab.Results.ab_rounds - 1 }) ]
+
 let test_perturbed_json_baseline () =
   (* End-to-end through the serialized form, as CI uses it: write the
      baseline, reload it, perturb the current run, expect a hit. *)
@@ -241,6 +269,8 @@ let () =
           Alcotest.test_case "regression diff" `Slow test_regression_diff;
           Alcotest.test_case "work counters gated exactly" `Slow
             test_work_counters;
+          Alcotest.test_case "VRP effort counters gated exactly" `Slow
+            test_vrp_effort_counters;
           Alcotest.test_case "diff through serialized baseline" `Slow
             test_perturbed_json_baseline;
         ] );

@@ -297,6 +297,42 @@ let test_protocol_version () =
       Alcotest.(check string) "garbage proto" "error"
         (field (request path {|{"proto":"x","op":"ping"}|}) "status"))
 
+(* A result enters a shard's cache only by being computed there: [put]
+   and [fetch] are unknown ops, so no client can plant a payload under a
+   request's key for every later analyze of that program to hit. *)
+let test_replication_ops_rejected () =
+  with_server (fun path t ->
+      let key =
+        match
+          Ogc_server.Protocol.op_of_json (J.of_string (analyze_req ()))
+        with
+        | Ogc_server.Protocol.Analyze r -> Ogc_server.Protocol.cache_key r
+        | _ -> assert false
+      in
+      let op name extra =
+        J.to_string ~indent:false
+          (J.Obj ([ ("op", J.Str name); ("key", J.Str key) ] @ extra))
+      in
+      let put =
+        request path
+          (op "put" [ ("result", J.Obj [ ("forged", J.Bool true) ]) ])
+      in
+      Alcotest.(check string) "put rejected" "error" (field put "status");
+      Alcotest.(check bool) "put named as an unknown op" true
+        (String.starts_with ~prefix:"unknown op" (field put "error"));
+      Alcotest.(check string) "fetch rejected" "error"
+        (field (request path (op "fetch" [])) "status");
+      let r = request path (analyze_req ()) in
+      Alcotest.(check string) "analyze computes" "miss" (field r "cache");
+      let result = J.member "result" (J.of_string r) in
+      Alcotest.(check bool) "no forged payload" true
+        (J.member "forged" result = J.Null);
+      Alcotest.(check bool) "the real result" true
+        (J.member "pass" result = J.Str "vrp"
+        && J.member "checksum" result <> J.Null);
+      Alcotest.(check int) "computed on this shard" 1
+        (J.get_int "analyses" (Server.stats_json t)))
+
 (* --- shard namespacing ------------------------------------------------------ *)
 
 let test_shard_cache_namespacing () =
@@ -599,6 +635,8 @@ let () =
            test_malformed_requests ]);
       ("protocol",
        [ Alcotest.test_case "version handshake" `Quick test_protocol_version;
+         Alcotest.test_case "replication ops rejected" `Quick
+           test_replication_ops_rejected;
          Alcotest.test_case "shard cache namespacing" `Quick
            test_shard_cache_namespacing ]);
       ("profile",
